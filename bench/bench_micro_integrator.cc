@@ -8,7 +8,8 @@
  * accepted RK step — zero after warm-up) and merges the numbers into
  * BENCH_kernels.json next to the convolution entries, together with a
  * per-SIMD-backend sweep of the stepper's element kernels (WRMS norm,
- * axpy, FP16 quantization; speedup vs the forced scalar backend).
+ * axpy, FP16 quantization) and of the served MLP's f kernels (tanh, the
+ * Linear matvec); speedup vs the forced scalar backend.
  */
 
 #include <cstdio>
@@ -25,6 +26,8 @@
 #include "core/aca_trainer.h"
 #include "core/node_model.h"
 #include "core/slope_adaptive.h"
+#include "nn/activation.h"
+#include "nn/linear.h"
 #include "nn/loss.h"
 #include "ode/ivp.h"
 #include "tensor/workspace.h"
@@ -219,11 +222,15 @@ emitIntegratorReport()
 }
 
 /**
- * Per-SIMD-backend sweep of the stepper's element kernels: the WRMS
- * error norm (Tensor::l2Norm), the stage-combination axpy, and the FP16
- * datapath quantization, each on a 4096-element state. Every compiled
- * and supported backend is forced in turn; speedup is against the
- * forced scalar backend (always first in availableSimdBackends()).
+ * Per-SIMD-backend sweep of the stepper's element kernels — the WRMS
+ * error norm (Tensor::l2Norm), the stage-combination axpy and the FP16
+ * datapath quantization, each on a 4096-element state — and of the
+ * served 16-64-16 MLP's f kernels: tanh over 128 elements (the two
+ * 64-wide hidden activations of one f-evaluation) and the Linear matvec
+ * at 17->64 and 64->64 (forwardBatched on a batch of one: the bare
+ * matvec plus bias). Every compiled and supported backend is forced in
+ * turn; speedup is against the forced scalar backend (always first in
+ * availableSimdBackends()).
  */
 void
 emitBackendSweep()
@@ -233,29 +240,50 @@ emitBackendSweep()
     Tensor y = Tensor::randn(Shape{kN}, rng, 1.0f);
     Tensor x = Tensor::randn(Shape{kN}, rng, 1.0f);
     Tensor q = Tensor::randn(Shape{kN}, rng, 1.0f);
+    Tensor act = Tensor::randn(Shape{128}, rng, 2.0f), actOut;
+    Tanh tanhLayer;
+    Linear in17(17, 64, rng), hidden64(64, 64, rng);
+    Tensor x17 = Tensor::randn(Shape{1, 17}, rng, 1.0f);
+    Tensor x64 = Tensor::randn(Shape{1, 64}, rng, 1.0f), linOut;
     double sink = 0.0;
 
     struct Kernel
     {
         const char *name;
-        double flops; ///< per call; 0 when GFLOP/s is not meaningful
+        const char *size; ///< entry-name suffix
+        double flops;     ///< per call; 0 when GFLOP/s is not meaningful
         std::function<void()> fn;
     };
     const Kernel kernels[] = {
-        {"wrms_norm", 2.0 * kN,
+        {"wrms_norm", "4096", 2.0 * kN,
          [&] {
              sink += y.l2Norm();
              benchmark::DoNotOptimize(sink);
          }},
-        {"axpy", 2.0 * kN,
+        {"axpy", "4096", 2.0 * kN,
          [&] {
              y.axpy(1e-7f, x);
              benchmark::DoNotOptimize(y.data());
          }},
-        {"fp16_quantize", 0.0,
+        {"fp16_quantize", "4096", 0.0,
          [&] {
              q.quantizeFp16();
              benchmark::DoNotOptimize(q.data());
+         }},
+        {"tanh", "128", 0.0,
+         [&] {
+             tanhLayer.forwardBatched(act, actOut);
+             benchmark::DoNotOptimize(actOut.data());
+         }},
+        {"linear_matvec", "17x64", 2.0 * 17 * 64,
+         [&] {
+             in17.forwardBatched(x17, linOut);
+             benchmark::DoNotOptimize(linOut.data());
+         }},
+        {"linear_matvec", "64x64", 2.0 * 64 * 64,
+         [&] {
+             hidden64.forwardBatched(x64, linOut);
+             benchmark::DoNotOptimize(linOut.data());
          }},
     };
 
@@ -271,7 +299,7 @@ emitBackendSweep()
                 scalar_ns = ns;
             bench::KernelBenchEntry e;
             e.name = std::string(k.name) + "_" +
-                     simdBackendName(backend) + "_4096";
+                     simdBackendName(backend) + "_" + k.size;
             e.nsPerOp = ns;
             e.gflops = k.flops > 0.0 ? k.flops / ns : 0.0;
             e.speedupVsScalar = scalar_ns > 0.0 ? scalar_ns / ns : 0.0;

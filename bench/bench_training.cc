@@ -6,9 +6,18 @@
  * fabric (Sec. II.C); the runtime analogue is the TrainingService
  * riding the serving worker pool as a lowest-priority stream. This
  * bench runs the same closed-loop inference population twice — alone,
- * then with the training stream active and publishing weight versions
- * every step — and reports the inference p50/p99 and goodput for both,
- * plus the training-side counters (steps, publications, replica swaps).
+ * then beside a trainer that runs a fixed number of steps, publishing a
+ * weight version after each — and reports the inference p50/p99 and
+ * goodput for both, plus the training-side counters (steps,
+ * publications, replica swaps).
+ *
+ * The training run is sized by work, not by time: the inference load
+ * keeps running until the trainer has finished its steps, and every
+ * client sends one more request after that, so each publication is
+ * followed by inference dispatches and steps, publications and swaps
+ * are all nonzero however fast the solves are. The inference-only run
+ * then serves as many requests as the training run completed, so both
+ * goodputs are taken over the same amount of inference work.
  *
  * The CI gate: inference goodput with active training must stay at or
  * above 80% of the inference-only baseline. Training only occupies a
@@ -16,10 +25,12 @@
  * break against the no-deadline train stream), so the residual cost is
  * one training-solve residency per worker at worst.
  *
- * Results land in BENCH_training.json. `--quick` shrinks the run for
- * CI smoke use.
+ * Results land in BENCH_training.json. `--quick` shrinks the run (fewer
+ * clients, requests and train steps) for CI smoke use.
  */
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -84,16 +95,19 @@ struct LoadResult
 
 /**
  * Closed-loop inference population (submit, wait, repeat) against
- * `workers` replicas; when `with_training` the TrainingService streams
- * gradient steps through the same pool for the whole run.
+ * `workers` replicas. With `train_steps` > 0 a trainer thread runs that
+ * many synchronous TrainingService steps through the same pool,
+ * publishing after each, and the clients keep going until it is done.
  */
 LoadResult
 runLoad(std::size_t workers, std::size_t clients, std::size_t total,
-        bool with_training)
+        std::uint64_t train_steps)
 {
     InferenceServer server(makeServedModel, baseOptions(workers));
     std::unique_ptr<TrainingService> trainer;
-    if (with_training) {
+    std::atomic<bool> trainingDone{train_steps == 0};
+    std::thread trainThread;
+    if (train_steps > 0) {
         TrainingOptions topts;
         topts.learningRate = 0.01;
         topts.batchSize = 4;
@@ -102,7 +116,16 @@ runLoad(std::size_t workers, std::size_t clients, std::size_t total,
         topts.ivp.initialDt = 0.1;
         trainer = std::make_unique<TrainingService>(
             server, makeServedModel(), topts);
-        trainer->start([](std::uint64_t i) { return makeExample(i); });
+        trainThread = std::thread([&, batchSize = topts.batchSize] {
+            std::vector<TrainExample> batch(batchSize);
+            std::uint64_t index = 0;
+            for (std::uint64_t s = 0; s < train_steps; s++) {
+                for (auto &example : batch)
+                    example = makeExample(index++);
+                trainer->step(batch);
+            }
+            trainingDone.store(true, std::memory_order_release);
+        });
     }
 
     std::vector<Tensor> inputs;
@@ -114,15 +137,22 @@ runLoad(std::size_t workers, std::size_t clients, std::size_t total,
 
     const auto start = RuntimeClock::now();
     std::vector<std::thread> threads;
-    const std::size_t per_client = total / clients;
+    const std::size_t per_client = (total + clients - 1) / clients;
     for (std::size_t c = 0; c < clients; c++) {
         threads.emplace_back([&, c] {
-            for (std::size_t j = 0; j < per_client; j++) {
+            for (std::size_t j = 0;; j++) {
+                // Decided before the submit, so a client's last request
+                // is dispatched after the trainer's last publication.
+                const bool last =
+                    j + 1 >= per_client &&
+                    trainingDone.load(std::memory_order_acquire);
                 auto sub = server.submit(
                     inputs[(c * per_client + j) % inputs.size()],
                     /*stream=*/1 + static_cast<std::uint32_t>(c % 4));
                 if (sub.accepted)
                     sub.result.get();
+                if (last)
+                    break;
             }
         });
     }
@@ -133,7 +163,7 @@ runLoad(std::size_t workers, std::size_t clients, std::size_t total,
 
     LoadResult result;
     if (trainer) {
-        trainer->stop();
+        trainThread.join();
         result.trainSteps = trainer->steps();
     }
     result.published = server.registry().published();
@@ -186,15 +216,18 @@ main(int argc, char **argv)
     const std::size_t workers = 4;
     const std::size_t clients = quick ? 8 : 16;
     const std::size_t total = quick ? 192 : 768;
+    const std::uint64_t trainSteps = quick ? 3 : 12;
 
-    std::printf("bench_training: %zu workers, %zu clients, %zu requests"
-                "%s\n\n",
-                workers, clients, total, quick ? " (quick)" : "");
+    std::printf("bench_training: %zu workers, %zu clients, %zu requests, "
+                "%llu train steps%s\n\n",
+                workers, clients, total,
+                static_cast<unsigned long long>(trainSteps),
+                quick ? " (quick)" : "");
 
-    const LoadResult baseline =
-        runLoad(workers, clients, total, /*with_training=*/false);
-    const LoadResult trained =
-        runLoad(workers, clients, total, /*with_training=*/true);
+    const LoadResult trained = runLoad(workers, clients, total, trainSteps);
+    const auto served = static_cast<std::size_t>(trained.metrics.completed);
+    const LoadResult baseline = runLoad(
+        workers, clients, std::max(total, served), /*train_steps=*/0);
 
     Table table("Inference under an interleaved training stream");
     table.setHeader({"mode", "goodput req/s", "p50 ms", "p99 ms",
@@ -214,9 +247,6 @@ main(int argc, char **argv)
                              : 0.0;
     std::printf("\ngoodput with training / inference-only: %.2fx %s\n",
                 ratio, ratio >= 0.8 ? "(PASS >=0.8)" : "(below 0.8!)");
-    if (trained.trainSteps == 0)
-        std::printf("WARNING: training never completed a step\n");
-
     writeReport(baseline, trained);
     std::printf("wrote BENCH_training.json\n");
     return 0;

@@ -39,6 +39,17 @@ struct VecF
     static VecF broadcast(float x) { return {x}; }
     VecF add(VecF o) const { return {v + o.v}; }
     VecF mul(VecF o) const { return {v * o.v}; }
+    VecF div(VecF o) const { return {v / o.v}; }
+    VecF min(VecF o) const { return {v < o.v ? v : o.v}; }
+    VecF max(VecF o) const { return {v > o.v ? v : o.v}; }
+    static void
+    addLanes4(VecF r0, VecF r1, VecF r2, VecF r3, float s[4])
+    {
+        s[0] += r0.v;
+        s[1] += r1.v;
+        s[2] += r2.v;
+        s[3] += r3.v;
+    }
 };
 
 struct VecD

@@ -30,6 +30,9 @@
  *    Backends are therefore bitwise identical *to each other*; they
  *    differ from a plain serial sum only by the documented
  *    reduction-order tolerance.
+ *  - tanh is a clamped odd rational approximation evaluated with the
+ *    same per-op rounding and a correctly rounded IEEE division, so it
+ *    too is bitwise identical across backends (within 8 ulp of tanh).
  *  - allFinite is exact (a NaN/Inf anywhere flips it, no FP rounding
  *    involved). quantizeFp16 is bitwise identical across backends for
  *    every non-NaN input; hardware converters (F16C, NEON fcvt) may
@@ -111,6 +114,23 @@ struct SimdOps
      * zero lanes, accumDot16, then the serial tail-first reduction.
      */
     float (*dot)(const float *a, const float *b, std::size_t n);
+    /**
+     * Four dots against one shared x: out[r] = dot(w + r*stride, x, n)
+     * for r = 0..3. Each row keeps dot's fixed 16-lane accumulation and
+     * tail-first reduction, so every output is bitwise equal to a
+     * one-row dot; the x loads are shared across the four rows.
+     */
+    void (*dotRows4)(float out[4], const float *w, std::size_t stride,
+                     const float *x, std::size_t n);
+
+    /**
+     * y[i] = tanh(x[i]): a clamped odd rational approximation with
+     * per-op rounding and one IEEE division, within 8 ulp of the
+     * correctly rounded tanh for every finite float. ±0 keeps its sign,
+     * ±Inf gives ±1, NaN stays NaN. Bitwise across backends; y may
+     * alias x exactly (in place), but not partially.
+     */
+    void (*tanh)(float *y, const float *x, std::size_t n);
 
     /**
      * Sum of squares in double precision under a fixed 8-double-lane

@@ -36,6 +36,63 @@ struct VecF
     static VecF broadcast(float x) { return {_mm512_set1_ps(x)}; }
     VecF add(VecF o) const { return {_mm512_add_ps(v, o.v)}; }
     VecF mul(VecF o) const { return {_mm512_mul_ps(v, o.v)}; }
+    VecF div(VecF o) const { return {_mm512_div_ps(v, o.v)}; }
+    // Compare + blend rather than _mm512_min_ps/_mm512_max_ps, whose
+    // GCC 12 headers warn on an undefined pass-through operand; the
+    // ordered-quiet compares give the same minps/maxps semantics.
+    VecF
+    min(VecF o) const
+    {
+        return {_mm512_mask_blend_ps(_mm512_cmp_ps_mask(v, o.v, _CMP_LT_OQ),
+                                     o.v, v)};
+    }
+    VecF
+    max(VecF o) const
+    {
+        return {_mm512_mask_blend_ps(_mm512_cmp_ps_mask(v, o.v, _CMP_GT_OQ),
+                                     o.v, v)};
+    }
+    static void
+    addLanes4(VecF r0, VecF r1, VecF r2, VecF r3, float s[4])
+    {
+        // In-lane 4x4 transposes: lane j of the four rows lands, as one
+        // 4-float column, in 128-bit lane j / 4 of c[j % 4]. Then one
+        // serial 4-wide add per lane, in lane order. (Masked forms with
+        // a full mask throughout, even for the lane-0 cast, which GCC 12
+        // spells as an extract: the unmasked ones trip the same header
+        // warning as min/max.)
+        const __m512d t0 = _mm512_castps_pd(
+            _mm512_mask_unpacklo_ps(r0.v, 0xffff, r0.v, r1.v));
+        const __m512d t1 = _mm512_castps_pd(
+            _mm512_mask_unpackhi_ps(r0.v, 0xffff, r0.v, r1.v));
+        const __m512d t2 = _mm512_castps_pd(
+            _mm512_mask_unpacklo_ps(r2.v, 0xffff, r2.v, r3.v));
+        const __m512d t3 = _mm512_castps_pd(
+            _mm512_mask_unpackhi_ps(r2.v, 0xffff, r2.v, r3.v));
+        const __m512 c[4] = {
+            _mm512_castpd_ps(_mm512_mask_unpacklo_pd(t0, 0xff, t0, t2)),
+            _mm512_castpd_ps(_mm512_mask_unpackhi_pd(t0, 0xff, t0, t2)),
+            _mm512_castpd_ps(_mm512_mask_unpacklo_pd(t1, 0xff, t1, t3)),
+            _mm512_castpd_ps(_mm512_mask_unpackhi_pd(t1, 0xff, t1, t3))};
+        __m128 acc = _mm_loadu_ps(s);
+        acc = addLaneGroup<0>(acc, c);
+        acc = addLaneGroup<1>(acc, c);
+        acc = addLaneGroup<2>(acc, c);
+        acc = addLaneGroup<3>(acc, c);
+        _mm_storeu_ps(s, acc);
+    }
+
+  private:
+    template <int G>
+    static __m128
+    addLaneGroup(__m128 acc, const __m512 (&c)[4])
+    {
+        const __m128 zero = _mm_setzero_ps();
+        for (const __m512 &col : c)
+            acc = _mm_add_ps(acc, _mm512_mask_extractf32x4_ps(zero, 0xf,
+                                                              col, G));
+        return acc;
+    }
 };
 
 struct VecD

@@ -38,6 +38,24 @@ struct VecF
     static VecF broadcast(float x) { return {vdupq_n_f32(x)}; }
     VecF add(VecF o) const { return {vaddq_f32(v, o.v)}; }
     VecF mul(VecF o) const { return {vmulq_f32(v, o.v)}; }
+    VecF div(VecF o) const { return {vdivq_f32(v, o.v)}; }
+    // fmin/fmax would return the NaN operand from either side; the
+    // compare-select keeps the x86 minps/maxps semantics every backend
+    // shares (NaN in o returned, NaN in v replaced by o).
+    VecF min(VecF o) const { return {vbslq_f32(vcltq_f32(v, o.v), v, o.v)}; }
+    VecF max(VecF o) const { return {vbslq_f32(vcgtq_f32(v, o.v), v, o.v)}; }
+    static void
+    addLanes4(VecF r0, VecF r1, VecF r2, VecF r3, float s[4])
+    {
+        float lanes[4][4];
+        r0.store(lanes[0]);
+        r1.store(lanes[1]);
+        r2.store(lanes[2]);
+        r3.store(lanes[3]);
+        for (std::size_t j = 0; j < 4; j++)
+            for (std::size_t k = 0; k < 4; k++)
+                s[k] += lanes[k][j];
+    }
 };
 
 struct VecD

@@ -193,15 +193,15 @@ Tracer::instant(const char *name, const char *category,
 void
 Tracer::setThreadName(const std::string &name)
 {
-    LocalSlot &slot = localSlot();
-    slot.pendingName = name;
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (slot.ring != nullptr &&
-        slot.generation == generation_.load(std::memory_order_relaxed)) {
-        Ring *ring = static_cast<Ring *>(slot.ring.get());
-        std::lock_guard<std::mutex> ring_lock(ring->mutex);
-        ring->name = name;
-    }
+    localSlot().pendingName = name;
+    // While armed, register the thread's ring now rather than at its
+    // first event, so a named thread that records nothing (a worker that
+    // stayed idle) still appears in the export.
+    Ring *ring = localRing();
+    if (ring == nullptr)
+        return;
+    std::lock_guard<std::mutex> ring_lock(ring->mutex);
+    ring->name = name;
 }
 
 std::vector<TraceEvent>

@@ -112,7 +112,9 @@ class Tracer
     /**
      * Name the calling thread in exported traces ("worker-0", ...).
      * Sticky: applies to the current ring and to any ring the thread
-     * registers in later generations.
+     * registers in later generations. While armed it registers the
+     * thread's ring, so the name is exported even if the thread never
+     * records an event.
      */
     void setThreadName(const std::string &name);
 
@@ -122,7 +124,8 @@ class Tracer
     /** Events overwritten by ring wraparound in this generation. */
     std::uint64_t dropped() const;
 
-    /** Rings registered in this generation (= threads that recorded). */
+    /** Rings registered in this generation (= threads that recorded or
+     *  were named while armed). */
     std::size_t threadCount() const;
 
     /**

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "common/simd.h"
 
 namespace enode {
 
@@ -44,21 +45,18 @@ ReLU::backward(const Tensor &grad_out)
 Tensor
 Tanh::forward(const Tensor &x)
 {
-    Tensor out = x;
-    for (std::size_t i = 0; i < out.numel(); i++)
-        out.at(i) = std::tanh(out.at(i));
-    cachedOutput_ = out;
-    return out;
+    // The SIMD tanh kernel is elementwise, so this and the batched sweep
+    // below agree bitwise on every backend.
+    cachedOutput_.resize(x.shape());
+    simdOps().tanh(cachedOutput_.data(), x.data(), x.numel());
+    return cachedOutput_;
 }
 
 void
 Tanh::forwardBatched(const Tensor &xs, Tensor &out)
 {
     out.resize(xs.shape());
-    const float *src = xs.data();
-    float *dst = out.data();
-    for (std::size_t i = 0; i < xs.numel(); i++)
-        dst[i] = std::tanh(src[i]);
+    simdOps().tanh(out.data(), xs.data(), xs.numel());
 }
 
 Tensor

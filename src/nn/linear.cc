@@ -11,20 +11,27 @@ namespace enode {
 namespace {
 
 /**
- * out[o] = bias[o] + weight[o] . x — the Linear matvec, one fixed-lane
- * SIMD dot per output row. Solo forward and the batched per-sample loop
- * both call exactly this, so a batched solve reproduces the solo
- * outputs bitwise at every batch size (the batched-vs-solo contract the
- * runtime tests pin), with no scalar-remainder cliff at small batches.
+ * out[o] = bias[o] + weight[o] . x — the Linear matvec, four output rows
+ * per fixed-lane SIMD dotRows4 call (sharing the x loads) and one-row
+ * dots for the last O % 4 rows. dotRows4 is bitwise equal to four dot
+ * calls, so every output is the same fixed-lane dot whichever call
+ * produced it. Solo forward and the batched per-sample loop both call
+ * exactly this, so a batched solve reproduces the solo outputs bitwise
+ * at every batch size (the batched-vs-solo contract the runtime tests
+ * pin).
  */
 void
 matvec(const SimdOps &ops, const float *wd, const float *bd, std::size_t O,
        std::size_t I, const float *x, float *out)
 {
-    for (std::size_t o = 0; o < O; o++) {
-        const float sum = ops.dot(wd + o * I, x, I);
-        out[o] = bd ? bd[o] + sum : sum;
-    }
+    std::size_t o = 0;
+    for (; o + 4 <= O; o += 4)
+        ops.dotRows4(out + o, wd + o * I, I, x, I);
+    for (; o < O; o++)
+        out[o] = ops.dot(wd + o * I, x, I);
+    if (bd)
+        for (o = 0; o < O; o++)
+            out[o] = bd[o] + out[o];
 }
 
 } // namespace

@@ -1,5 +1,7 @@
 #include "nn/sequential.h"
 
+#include <numeric>
+
 #include "common/logging.h"
 #include "nn/activation.h"
 #include "nn/concat_time.h"
@@ -27,9 +29,11 @@ Sequential::layer(std::size_t i)
 Tensor
 Sequential::forward(const Tensor &x)
 {
-    Tensor cur = x;
-    for (auto &l : layers_)
-        cur = l->forward(cur);
+    if (layers_.empty())
+        return x;
+    Tensor cur = layers_.front()->forward(x);
+    for (std::size_t i = 1; i < layers_.size(); i++)
+        cur = layers_[i]->forward(cur);
     return cur;
 }
 
@@ -112,9 +116,10 @@ EmbeddedNet::makeConvNet(std::size_t channels, std::size_t depth, Rng &rng)
     for (std::size_t d = 0; d < depth; d++) {
         const std::size_t in_ch = d == 0 ? channels + 1 : channels;
         body->add(std::make_unique<Conv2d>(in_ch, channels, 3, rng));
-        // GroupNorm groups: smallest of 8 and the channel count, so tiny
-        // test models with few channels still normalize.
-        const std::size_t groups = channels >= 8 ? 8 : 1;
+        // GroupNorm groups: up to 8, and always a divisor of the channel
+        // count (gcd), so any width builds; below 8 channels, one group
+        // so tiny test models still normalize.
+        const std::size_t groups = channels >= 8 ? std::gcd(channels, 8) : 1;
         body->add(std::make_unique<GroupNorm>(channels, groups));
         // The last conv output is the derivative estimate; keep it
         // unbounded (no ReLU) so f can produce negative slopes.

@@ -44,6 +44,22 @@ TEST(NodeModel, ForwardChainsLayers)
     EXPECT_GT(pts, 0u);
 }
 
+TEST(NodeModel, MakeConvBuildsChannelCountsNotAMultipleOfEight)
+{
+    // GroupNorm needs groups | channels; 10, 12 and 20 channels used to
+    // ask for 8 groups and panic at construction.
+    for (std::size_t channels : {10u, 12u, 20u}) {
+        Rng rng(5);
+        auto model = NodeModel::makeConv(1, channels, 1, rng);
+        Tensor x = Tensor::randn(Shape{channels, 5, 5}, rng, 0.5f);
+        FixedFactorController ctrl;
+        auto fwd = model->forward(x, ButcherTableau::rk23(), ctrl,
+                                  quickOptions());
+        EXPECT_EQ(fwd.output.shape(), x.shape()) << channels << " channels";
+        EXPECT_TRUE(fwd.output.isFinite()) << channels << " channels";
+    }
+}
+
 TEST(NodeModel, ComplexityScalesWithLayers)
 {
     // Fig. 3: forward complexity is O(N * n_eval * n_try * s).

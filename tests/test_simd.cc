@@ -9,6 +9,9 @@
  *    at every size including ragged tails;
  *  - the fixed-lane reductions sit within a documented reduction-order
  *    tolerance of a plain serial sum;
+ *  - dotRows4 is bitwise equal to four one-row dots; tanh stays within
+ *    8 ulp of tanh on a sweep of every float, and Linear/Tanh batched
+ *    forwards match the solo ones bitwise;
  *  - allFinite is exact; the fp16 conversions are bitwise against the
  *    software Fp16 reference for every non-NaN input (NaNs must stay
  *    NaN, payload unspecified on hardware paths).
@@ -20,12 +23,17 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "common/fp16.h"
+#include "common/rng.h"
 #include "common/simd.h"
 #include "common/simd_internal.h"
+#include "nn/activation.h"
+#include "nn/linear.h"
 
 namespace enode {
 namespace {
@@ -324,6 +332,202 @@ TEST_F(SimdKernelEquivalence, AllFiniteExactEverywhere)
                     << simdBackendName(b) << " missed poison at " << i
                     << " of " << n;
                 x[i] = saved;
+            }
+        }
+    }
+}
+
+TEST_F(SimdKernelEquivalence, DotRows4IsBitwiseAcrossBackends)
+{
+    expectBitwiseAcrossBackends([](const SimdOps &ops, std::size_t n) {
+        const std::size_t stride = n + 3;
+        const std::vector<float> w = testData(4 * stride, 73);
+        const std::vector<float> x = testData(n, 79);
+        std::vector<float> out(4);
+        ops.dotRows4(out.data(), w.data(), stride, x.data(), n);
+        return out;
+    });
+}
+
+TEST_F(SimdKernelEquivalence, DotRows4IsFourOneRowDots)
+{
+    std::vector<std::size_t> sizes;
+    for (std::size_t n = 0; n <= 40; n++)
+        sizes.push_back(n);
+    sizes.insert(sizes.end(), {63, 64, 65});
+    for (SimdBackend b : availableSimdBackends()) {
+        ScopedSimdBackend forced(b);
+        ASSERT_TRUE(forced.applied());
+        const SimdOps &ops = simdOps();
+        for (std::size_t n : sizes) {
+            // A row stride that is not n: rows are slices of a wider
+            // matrix, with junk between them the kernel must not read.
+            const std::size_t stride = n + 5;
+            const std::vector<float> w = testData(4 * stride, 83 + n);
+            const std::vector<float> x = testData(n, 89 + n);
+            std::vector<float> fused(4), oneRow(4);
+            ops.dotRows4(fused.data(), w.data(), stride, x.data(), n);
+            for (std::size_t r = 0; r < 4; r++)
+                oneRow[r] = ops.dot(w.data() + r * stride, x.data(), n);
+            EXPECT_TRUE(bitwiseEqual(fused, oneRow))
+                << simdBackendName(b) << " dotRows4 != 4 x dot at n=" << n;
+        }
+    }
+}
+
+TEST_F(SimdKernelEquivalence, TanhIsBitwiseAcrossBackends)
+{
+    expectBitwiseAcrossBackends([](const SimdOps &ops, std::size_t n) {
+        std::vector<float> x = testData(n, 97);
+        for (std::size_t i = 0; i < n; i += 3)
+            x[i] *= 10.0f; // reach past the clamp as well
+        std::vector<float> y(n);
+        ops.tanh(y.data(), x.data(), n);
+        ops.tanh(x.data(), x.data(), n); // in place
+        EXPECT_TRUE(bitwiseEqual(x, y)) << "in-place tanh differs";
+        return y;
+    });
+}
+
+/** |y - tanh(x)| in units of the float spacing at tanh(x). */
+double
+tanhUlpError(float x, float y)
+{
+    const double ref = std::tanh(static_cast<double>(x));
+    const double mag = std::fabs(ref);
+    double ulp = std::ldexp(1.0, -149);
+    if (mag >= std::ldexp(1.0, -126)) {
+        int exp = 0;
+        std::frexp(mag, &exp);
+        ulp = std::ldexp(1.0, exp - 24);
+    }
+    return std::fabs(static_cast<double>(y) - ref) / ulp;
+}
+
+TEST_F(SimdKernelEquivalence, TanhWithin8UlpOnEveryFloatSweep)
+{
+    // Every finite float at stride 61 (both signs), then every float
+    // near the clamp and a run of denormals, checked against double
+    // tanh and for |y| <= 1 on scalar; every vector backend must match
+    // scalar bitwise on the same sweep.
+    constexpr std::uint32_t kStride = 61;
+    std::vector<float> special;
+    for (std::uint32_t u = 1; u < 4096; u++)
+        special.push_back(simd_detail::f32FromBits(u)); // denormals
+    special.push_back(simd_detail::f32FromBits(0x007fffffu));
+    const std::uint32_t clampBits = simd_detail::f32Bits(9.02f);
+    for (std::uint32_t u = clampBits - 4096; u < clampBits + 4096; u++)
+        special.push_back(simd_detail::f32FromBits(u));
+
+    constexpr std::size_t kBlock = 4096;
+    std::vector<float> x, scalarY(kBlock), y(kBlock);
+    x.reserve(kBlock);
+    double worst = 0.0;
+    float worstX = 0.0f;
+    std::size_t checked = 0;
+    bool bitwise = true, bounded = true;
+    auto flush = [&] {
+        {
+            ScopedSimdBackend forced(SimdBackend::Scalar);
+            simdOps().tanh(scalarY.data(), x.data(), x.size());
+        }
+        for (std::size_t i = 0; i < x.size(); i++) {
+            const double err = tanhUlpError(x[i], scalarY[i]);
+            if (err > worst) {
+                worst = err;
+                worstX = x[i];
+            }
+            bounded = bounded && std::fabs(scalarY[i]) <= 1.0f;
+        }
+        for (SimdBackend b : vectorBackends()) {
+            ScopedSimdBackend forced(b);
+            simdOps().tanh(y.data(), x.data(), x.size());
+            bitwise = bitwise && std::memcmp(y.data(), scalarY.data(),
+                                             x.size() * sizeof(float)) == 0;
+        }
+        checked += x.size();
+        x.clear();
+    };
+    auto push = [&](float v) {
+        x.push_back(v);
+        if (x.size() == kBlock)
+            flush();
+    };
+    for (std::uint64_t u = 0; u < 0x7f800000u; u += kStride) {
+        const float v = simd_detail::f32FromBits(static_cast<std::uint32_t>(u));
+        push(v);
+        push(-v);
+    }
+    for (float v : special) {
+        push(v);
+        push(-v);
+    }
+    flush();
+    EXPECT_GT(checked, 2u * (0x7f800000u / kStride));
+    EXPECT_LE(worst, 8.0) << "worst at x = " << worstX;
+    EXPECT_TRUE(bounded) << "|tanh| > 1 somewhere (Tanh::backward needs "
+                            "1 - y^2 >= 0)";
+    EXPECT_TRUE(bitwise) << "a vector backend's tanh diverged from scalar";
+}
+
+TEST_F(SimdKernelEquivalence, TanhSpecialValues)
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    for (SimdBackend b : availableSimdBackends()) {
+        ScopedSimdBackend forced(b);
+        ASSERT_TRUE(forced.applied());
+        // Enough elements that each lands in both a full vector and the
+        // padded tail of every backend.
+        std::vector<float> x;
+        for (int rep = 0; rep < 5; rep++)
+            x.insert(x.end(), {0.0f, -0.0f, inf, -inf, nan, -nan, 30.0f});
+        std::vector<float> y(x.size());
+        simdOps().tanh(y.data(), x.data(), x.size());
+        for (std::size_t i = 0; i < x.size(); i += 7) {
+            const std::string where =
+                std::string(simdBackendName(b)) + " at " + std::to_string(i);
+            EXPECT_EQ(simd_detail::f32Bits(y[i]), 0x00000000u) << where;
+            EXPECT_EQ(simd_detail::f32Bits(y[i + 1]), 0x80000000u) << where;
+            EXPECT_EQ(y[i + 2], 1.0f) << where;
+            EXPECT_EQ(y[i + 3], -1.0f) << where;
+            EXPECT_TRUE(std::isnan(y[i + 4])) << where;
+            EXPECT_TRUE(std::isnan(y[i + 5])) << where;
+            EXPECT_EQ(y[i + 6], 1.0f) << where;
+        }
+    }
+}
+
+TEST_F(SimdKernelEquivalence, LinearAndTanhBatchedMatchSoloAtEveryBatchSize)
+{
+    for (SimdBackend b : availableSimdBackends()) {
+        ScopedSimdBackend forced(b);
+        ASSERT_TRUE(forced.applied());
+        // 17 -> 66: a ragged input width and two rows past the last
+        // four-row block.
+        Rng rng(101);
+        Linear linear(17, 66, rng);
+        Tanh tanhLayer;
+        for (std::size_t batch = 1; batch <= 9; batch++) {
+            Tensor xs = Tensor::uniform(Shape{batch, 17}, rng, -3.0f, 3.0f);
+            Tensor linOut, tanhOut;
+            linear.forwardBatched(xs, linOut);
+            tanhLayer.forwardBatched(linOut, tanhOut);
+            for (std::size_t s = 0; s < batch; s++) {
+                Tensor x(Shape{17});
+                std::memcpy(x.data(), xs.data() + s * 17, 17 * sizeof(float));
+                const Tensor lin = linear.forward(x);
+                const Tensor act = tanhLayer.forward(lin);
+                EXPECT_EQ(std::memcmp(lin.data(), linOut.data() + s * 66,
+                                      66 * sizeof(float)),
+                          0)
+                    << simdBackendName(b) << " Linear, batch " << batch
+                    << " sample " << s;
+                EXPECT_EQ(std::memcmp(act.data(), tanhOut.data() + s * 66,
+                                      66 * sizeof(float)),
+                          0)
+                    << simdBackendName(b) << " Tanh, batch " << batch
+                    << " sample " << s;
             }
         }
     }

@@ -348,6 +348,21 @@ TEST_F(TraceSpanTest, StitchesThreadsWithDistinctTidsSortedByStart)
         EXPECT_EQ(count, kPerThread);
 }
 
+TEST_F(TraceSpanTest, ThreadNamedWhileArmedIsExportedWithoutEvents)
+{
+    // A server worker names itself at start and may never serve a
+    // request; its lane must still show up in the exported trace.
+    Tracer &tracer = Tracer::instance();
+    tracer.arm(16);
+    std::thread idle([] { Tracer::instance().setThreadName("idle-worker"); });
+    idle.join();
+    tracer.disarm();
+
+    EXPECT_TRUE(tracer.snapshot().empty());
+    EXPECT_EQ(tracer.threadCount(), 1u);
+    EXPECT_NE(tracer.chromeTraceJson().find("idle-worker"), std::string::npos);
+}
+
 TEST_F(TraceSpanTest, ExportedJsonParsesAndNestsSpans)
 {
     Tracer &tracer = Tracer::instance();
