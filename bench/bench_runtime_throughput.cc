@@ -15,7 +15,10 @@
  * with ServerOptions::maxBatch swept over 1/2/4/8/16. One worker
  * isolates the coalescing win — extra throughput can only come from the
  * batched solve sharing f-evaluation weight traversals, not from more
- * cores. Results land in BENCH_serving.json for scripted checks.
+ * cores. Results land in BENCH_serving.json for scripted checks, with
+ * p50/p99 per stream beside the pooled pair: closed-loop client c
+ * submits on stream c % 4, and under the default LaterStreamFirst
+ * policy stream 0 waits behind the others.
  *
  * A note on the batch-sweep p50: median latency *rises* at large
  * maxBatch even as throughput and p99 improve. That is inherent to
@@ -38,6 +41,7 @@
  * vs warm tier only, reporting accepted-trials per evaluation point.
  */
 
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -49,6 +53,7 @@
 
 #include "common/logging.h"
 #include "common/rng.h"
+#include "common/stats.h"
 #include "common/table.h"
 #include "ode/step_control.h"
 #include "runtime/inference_server.h"
@@ -59,6 +64,8 @@ namespace {
 
 constexpr std::uint64_t kSeed = 20230228;
 constexpr std::size_t kDim = 16;
+/** Closed-loop client c submits on stream c % kStreams. */
+constexpr std::size_t kStreams = 4;
 
 std::unique_ptr<NodeModel>
 makeServedModel()
@@ -85,6 +92,81 @@ makeInput(Rng &rng)
     return Tensor::randn(Shape{kDim}, rng, 0.5f);
 }
 
+/** End-to-end latency percentiles of one stream's responses. */
+struct StreamLatency
+{
+    double p50Ms = 0.0;
+    double p99Ms = 0.0;
+};
+using StreamLatencies = std::array<StreamLatency, kStreams>;
+
+struct ClientRun
+{
+    double seconds = 0.0;
+    StreamLatencies streams;
+};
+
+/**
+ * Closed loop: `clients` synchronous producers (submit, wait, repeat),
+ * each sending `per_client` requests, input(c, j) for client c's j-th.
+ * Latencies are kept per stream: the default LaterStreamFirst policy
+ * serves higher streams first, and a pooled p99 would hide how long
+ * the lowest stream starves.
+ */
+template <typename InputFn>
+ClientRun
+runClients(InferenceServer &server, std::size_t clients,
+           std::size_t per_client, InputFn input)
+{
+    std::vector<std::vector<double>> latencies(clients);
+    const auto start = RuntimeClock::now();
+    std::vector<std::thread> threads;
+    for (std::size_t c = 0; c < clients; c++) {
+        threads.emplace_back([&, c] {
+            for (std::size_t j = 0; j < per_client; j++) {
+                auto sub = server.submit(
+                    input(c, j), static_cast<std::uint32_t>(c % kStreams));
+                if (sub.accepted)
+                    latencies[c].push_back(sub.result.get().totalMs);
+            }
+        });
+    }
+    for (auto &t : threads)
+        t.join();
+
+    ClientRun run;
+    run.seconds =
+        std::chrono::duration<double>(RuntimeClock::now() - start).count();
+    for (std::size_t s = 0; s < kStreams; s++) {
+        SampleSeries series;
+        for (std::size_t c = s; c < clients; c += kStreams)
+            for (double ms : latencies[c])
+                series.add(ms);
+        run.streams[s] = {series.percentile(50.0), series.percentile(99.0)};
+    }
+    return run;
+}
+
+/** "a / b / c / d": one p99 per stream, for the tables. */
+std::string
+streamP99s(const StreamLatencies &streams)
+{
+    std::string text;
+    for (std::size_t s = 0; s < kStreams; s++)
+        text += (s ? " / " : "") + Table::num(streams[s].p99Ms);
+    return text;
+}
+
+std::vector<Tensor>
+makeClosedLoopInputs()
+{
+    Rng rng(kSeed + 7);
+    std::vector<Tensor> inputs;
+    for (std::size_t i = 0; i < 64; i++)
+        inputs.push_back(makeInput(rng));
+    return inputs;
+}
+
 struct ClosedLoopResult
 {
     double throughputRps = 0.0;
@@ -96,37 +178,18 @@ ClosedLoopResult
 runClosedLoop(std::size_t workers, std::size_t clients, std::size_t total)
 {
     InferenceServer server(makeServedModel, baseOptions(workers));
-    std::vector<Tensor> inputs;
-    {
-        Rng rng(kSeed + 7);
-        for (std::size_t i = 0; i < 64; i++)
-            inputs.push_back(makeInput(rng));
-    }
-
-    const auto start = RuntimeClock::now();
-    std::vector<std::thread> threads;
+    const std::vector<Tensor> inputs = makeClosedLoopInputs();
     const std::size_t per_client = total / clients;
-    for (std::size_t c = 0; c < clients; c++) {
-        threads.emplace_back([&, c] {
-            for (std::size_t j = 0; j < per_client; j++) {
-                auto sub = server.submit(
-                    inputs[(c * per_client + j) % inputs.size()],
-                    static_cast<std::uint32_t>(c % 4));
-                if (sub.accepted)
-                    sub.result.get();
-            }
+    const ClientRun run = runClients(
+        server, clients, per_client, [&](std::size_t c, std::size_t j) {
+            return inputs[(c * per_client + j) % inputs.size()];
         });
-    }
-    for (auto &t : threads)
-        t.join();
-    const double seconds =
-        std::chrono::duration<double>(RuntimeClock::now() - start).count();
     server.stop();
 
     ClosedLoopResult result;
     result.metrics = server.metrics().summary();
     result.throughputRps =
-        static_cast<double>(result.metrics.completed) / seconds;
+        static_cast<double>(result.metrics.completed) / run.seconds;
     return result;
 }
 
@@ -179,6 +242,7 @@ struct ServingPoint
     double p99Ms = 0.0;
     double meanOccupancy = 1.0;
     double coalesceWaitP50Ms = 0.0;
+    StreamLatencies streams;
 };
 
 /**
@@ -194,38 +258,18 @@ runBatchSweepPoint(std::size_t max_batch, std::size_t clients,
     opts.maxBatch = max_batch;
     opts.batchWaitUs = 2000.0;
     InferenceServer server(makeServedModel, opts);
-
-    std::vector<Tensor> inputs;
-    {
-        Rng rng(kSeed + 7);
-        for (std::size_t i = 0; i < 64; i++)
-            inputs.push_back(makeInput(rng));
-    }
-
-    const auto start = RuntimeClock::now();
-    std::vector<std::thread> threads;
+    const std::vector<Tensor> inputs = makeClosedLoopInputs();
     const std::size_t per_client = total / clients;
-    for (std::size_t c = 0; c < clients; c++) {
-        threads.emplace_back([&, c] {
-            for (std::size_t j = 0; j < per_client; j++) {
-                auto sub = server.submit(
-                    inputs[(c * per_client + j) % inputs.size()],
-                    static_cast<std::uint32_t>(c % 4));
-                if (sub.accepted)
-                    sub.result.get();
-            }
+    const ClientRun run = runClients(
+        server, clients, per_client, [&](std::size_t c, std::size_t j) {
+            return inputs[(c * per_client + j) % inputs.size()];
         });
-    }
-    for (auto &t : threads)
-        t.join();
-    const double seconds =
-        std::chrono::duration<double>(RuntimeClock::now() - start).count();
     server.stop();
 
     const MetricsSummary m = server.metrics().summary();
     ServingPoint point;
     point.maxBatch = max_batch;
-    point.requestsPerSec = static_cast<double>(m.completed) / seconds;
+    point.requestsPerSec = static_cast<double>(m.completed) / run.seconds;
     point.p50Ms = m.totalP50Ms;
     point.p99Ms = m.totalP99Ms;
     // maxBatch 1 bypasses the batcher entirely (the solo path), so the
@@ -233,6 +277,7 @@ runBatchSweepPoint(std::size_t max_batch, std::size_t clients,
     point.meanOccupancy =
         m.batchesDispatched > 0 ? m.batchOccupancyMean : 1.0;
     point.coalesceWaitP50Ms = m.coalesceWaitP50Ms;
+    point.streams = run.streams;
     return point;
 }
 
@@ -249,6 +294,7 @@ struct RepeatPoint
     std::uint64_t exactHits = 0;
     std::uint64_t warmHits = 0;
     std::uint64_t singleFlightWaits = 0;
+    StreamLatencies streams;
 };
 
 ServerOptions
@@ -303,34 +349,21 @@ runRepeatTrafficPoint(double hit_rate, std::size_t clients,
 {
     InferenceServer server(makeServedModel, cachedOptions());
     const std::vector<Tensor> traffic = makeRepeatTraffic(hit_rate, total);
-
-    const auto start = RuntimeClock::now();
-    std::vector<std::thread> threads;
     const std::size_t per_client = total / clients;
-    for (std::size_t c = 0; c < clients; c++) {
-        threads.emplace_back([&, c] {
-            for (std::size_t j = 0; j < per_client; j++) {
-                auto sub = server.submit(
-                    traffic[c * per_client + j],
-                    static_cast<std::uint32_t>(c % 4));
-                if (sub.accepted)
-                    sub.result.get();
-            }
+    const ClientRun run = runClients(
+        server, clients, per_client, [&](std::size_t c, std::size_t j) {
+            return traffic[c * per_client + j];
         });
-    }
-    for (auto &t : threads)
-        t.join();
-    const double seconds =
-        std::chrono::duration<double>(RuntimeClock::now() - start).count();
     server.stop();
 
     const MetricsSummary m = server.metrics().summary();
     const SolveCache *cache = server.solveCache();
     RepeatPoint point;
     point.hitRate = hit_rate;
-    point.requestsPerSec = static_cast<double>(m.completed) / seconds;
+    point.requestsPerSec = static_cast<double>(m.completed) / run.seconds;
     point.p50Ms = m.totalP50Ms;
     point.p99Ms = m.totalP99Ms;
+    point.streams = run.streams;
     point.exactHits = cache->exactHits();
     point.warmHits = cache->warmHits();
     point.singleFlightWaits = cache->singleFlightWaits();
@@ -385,6 +418,18 @@ runWarmComparison(std::size_t total)
     return cmp;
 }
 
+/** `, "streams": [...]`: per-stream p50/p99 beside the pooled pair. */
+void
+writeStreams(std::ostream &out, const StreamLatencies &streams)
+{
+    out << ", \"streams\": [";
+    for (std::size_t s = 0; s < kStreams; s++)
+        out << (s ? ", " : "") << "{\"stream\": " << s
+            << ", \"p50_ms\": " << streams[s].p50Ms
+            << ", \"p99_ms\": " << streams[s].p99Ms << "}";
+    out << "]";
+}
+
 void
 writeServingReport(const std::vector<ServingPoint> &points,
                    const std::vector<RepeatPoint> &repeats,
@@ -400,8 +445,9 @@ writeServingReport(const std::vector<ServingPoint> &points,
             << std::fixed << std::setprecision(2)
             << "\"requests_per_sec\": " << p.requestsPerSec
             << ", \"p50_ms\": " << std::setprecision(3) << p.p50Ms
-            << ", \"p99_ms\": " << p.p99Ms
-            << ", \"coalesce_wait_p50_ms\": " << p.coalesceWaitP50Ms
+            << ", \"p99_ms\": " << p.p99Ms;
+        writeStreams(out, p.streams);
+        out << ", \"coalesce_wait_p50_ms\": " << p.coalesceWaitP50Ms
             << ", \"mean_batch_occupancy\": " << std::setprecision(2)
             << p.meanOccupancy << "}"
             << (i + 1 < points.size() ? ",\n" : "\n");
@@ -414,8 +460,9 @@ writeServingReport(const std::vector<ServingPoint> &points,
             << "\", \"hit_rate\": " << p.hitRate
             << ", \"requests_per_sec\": " << p.requestsPerSec
             << ", \"p50_ms\": " << std::setprecision(3) << p.p50Ms
-            << ", \"p99_ms\": " << p.p99Ms
-            << ", \"exact_hits\": " << p.exactHits
+            << ", \"p99_ms\": " << p.p99Ms;
+        writeStreams(out, p.streams);
+        out << ", \"exact_hits\": " << p.exactHits
             << ", \"warm_hits\": " << p.warmHits
             << ", \"single_flight_waits\": " << p.singleFlightWaits << "}"
             << (i + 1 < repeats.size() ? ",\n" : "\n");
@@ -501,7 +548,7 @@ main()
                 std::to_string(sweep_clients) + " closed-loop clients, " +
                 std::to_string(sweep_total) + " requests)");
     sweep.setHeader({"max batch", "req/s", "speedup", "p50 ms", "p99 ms",
-                     "mean occupancy"});
+                     "p99 ms by stream 0/1/2/3", "mean occupancy"});
     std::vector<ServingPoint> points;
     double batch1_rps = 0.0;
     double batch8_rps = 0.0;
@@ -516,7 +563,7 @@ main()
                       Table::num(p.requestsPerSec, 1),
                       Table::ratio(p.requestsPerSec / batch1_rps),
                       Table::num(p.p50Ms), Table::num(p.p99Ms),
-                      Table::num(p.meanOccupancy)});
+                      streamP99s(p.streams), Table::num(p.meanOccupancy)});
         points.push_back(p);
     }
     sweep.print();
@@ -530,7 +577,8 @@ main()
                  std::to_string(sweep_clients) + " clients, " +
                  std::to_string(sweep_total) + " requests)");
     repeat.setHeader({"hit rate", "req/s", "speedup", "p50 ms", "p99 ms",
-                      "exact hits", "warm hits", "dedup waits"});
+                      "p99 ms by stream 0/1/2/3", "exact hits", "warm hits",
+                      "dedup waits"});
     std::vector<RepeatPoint> repeats;
     double miss_rps = 0.0;
     for (double hit_rate : {0.0, 0.5, 0.9, 1.0}) {
@@ -541,7 +589,7 @@ main()
         repeat.addRow(
             {Table::percent(hit_rate, 0), Table::num(p.requestsPerSec, 1),
              Table::ratio(p.requestsPerSec / miss_rps),
-             Table::num(p.p50Ms), Table::num(p.p99Ms),
+             Table::num(p.p50Ms), Table::num(p.p99Ms), streamP99s(p.streams),
              Table::integer(static_cast<long long>(p.exactHits)),
              Table::integer(static_cast<long long>(p.warmHits)),
              Table::integer(static_cast<long long>(p.singleFlightWaits))});

@@ -190,7 +190,8 @@ AdmissionController::admit(std::uint64_t shapeKey, std::uint32_t stream,
 
 void
 AdmissionController::observeSolve(std::uint64_t shapeKey, double dispatchMs,
-                                  std::size_t batchSize)
+                                  std::size_t batchSize,
+                                  std::size_t queueDepth)
 {
     const std::size_t n = std::max<std::size_t>(1, batchSize);
     const auto now = RuntimeClock::now();
@@ -198,16 +199,20 @@ AdmissionController::observeSolve(std::uint64_t shapeKey, double dispatchMs,
     shapeCostMs_[shapeKey].add(dispatchMs, options_.ewmaAlpha);
     serviceMs_.add(dispatchMs / static_cast<double>(n),
                    options_.ewmaAlpha);
-    if (hasLastCompletion_) {
+    if (lastCompletionBusy_) {
         const double gap_ms = toMs(now - lastCompletionAt_);
-        // Gaps above a second are idle time, not drain rate — an idle
-        // server would otherwise poison the estimate for the next burst.
+        // A gap that starts on an empty queue is idle time, not drain
+        // rate: between bursts it runs to milliseconds against a
+        // sub-millisecond service time and would price every queued
+        // request in the next burst as if the pool idled between them.
+        // Gaps above a second are excluded even when busy (a paused
+        // server holding a backlog).
         if (gap_ms < 1000.0)
             completionGapMs_.add(gap_ms / static_cast<double>(n),
                                  options_.ewmaAlpha);
     }
     lastCompletionAt_ = now;
-    hasLastCompletion_ = true;
+    lastCompletionBusy_ = queueDepth > 0;
     totalObservations_++;
 }
 

@@ -140,9 +140,13 @@ class AdmissionController
      * @param shapeKey Shape of the solved input(s).
      * @param dispatchMs Wall time of the whole dispatch.
      * @param batchSize Requests the dispatch served (>= 1).
+     * @param queueDepth Queue occupancy at this completion. The gap to
+     *        the next completion is drain time only when work was
+     *        waiting; after a completion on an empty queue (0, the
+     *        default) it is idle time and stays out of the drain model.
      */
     void observeSolve(std::uint64_t shapeKey, double dispatchMs,
-                      std::size_t batchSize);
+                      std::size_t batchSize, std::size_t queueDepth = 0);
 
     /**
      * Feed one dequeue observation into the brownout monitor.
@@ -217,10 +221,13 @@ class AdmissionController
      *  *realized* drain interval, which under contention (more workers
      *  than cores, lock pressure) runs slower than serviceMs_ /
      *  numWorkers predicts. The drain estimate takes the slower of the
-     *  two models. */
+     *  two models. Only busy-period gaps count: those that start at a
+     *  completion with work still queued. */
     Ewma completionGapMs_;
     RuntimeClock::time_point lastCompletionAt_;
-    bool hasLastCompletion_ = false;
+    /** The previous completion left work queued, so the gap from it to
+     *  the next completion measures drain rate, not idle time. */
+    bool lastCompletionBusy_ = false;
     /** Observed queue delay and occupancy (brownout monitor inputs). */
     Ewma queueDelayMs_;
     Ewma occupancy_;

@@ -87,6 +87,7 @@ Batcher::collect(CollectedBatch &out)
     out.expired.clear();
     out.cacheHits.clear();
     out.collectWaitMs = 0.0;
+    out.windowSkipped = false;
 
     // Seed: the stashed incompatible request from a previous window
     // goes first (it was dispatched by the queue before anything still
@@ -108,11 +109,17 @@ Batcher::collect(CollectedBatch &out)
                 if (queue_.popUntil(seed, RuntimeClock::now()) !=
                     PopStatus::Ok)
                     return true;
-            } else if (!queue_.pop(seed)) {
+            } else {
+                // Parked: idle until the next arrival. A peer that pops
+                // a seed meanwhile skips its window and leaves new
+                // arrivals to this collector.
+                parked_.fetch_add(1, std::memory_order_relaxed);
+                const bool popped = queue_.pop(seed);
+                parked_.fetch_sub(1, std::memory_order_relaxed);
                 // Queue closed and drained — but another worker may
                 // have stashed an entry while this one blocked in pop.
                 // A final stash check keeps shutdown from stranding it.
-                if (!takeStash(seed))
+                if (!popped && !takeStash(seed))
                     return false;
             }
         }
@@ -139,13 +146,20 @@ Batcher::collect(CollectedBatch &out)
         return true;
 
     if (maxBatch_ > 1) {
-        // Brownout level >= 2 shrinks the collect window: under load,
-        // draining queued work beats waiting for coalescing company.
-        // Sampled once per window so one batch sees one policy.
+        // Work conservation: with a peer parked in the seed pop, the
+        // next arrival is served soonest by that peer, so take only
+        // what is already queued (a window closing at the seed pop).
+        // Otherwise open the window; brownout level >= 2 shrinks it,
+        // since under load draining queued work beats waiting for
+        // coalescing company. Sampled once per batch so one batch sees
+        // one policy.
+        out.windowSkipped =
+            parked_.load(std::memory_order_relaxed) > 0;
         const double wait_us =
-            maxWaitUs_ *
-            (admission_ != nullptr ? admission_->collectWindowScale()
-                                   : 1.0);
+            out.windowSkipped ? 0.0
+            : maxWaitUs_ *
+                  (admission_ != nullptr ? admission_->collectWindowScale()
+                                         : 1.0);
         const auto window_close =
             out.firstPop +
             std::chrono::duration_cast<RuntimeClock::duration>(

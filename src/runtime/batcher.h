@@ -8,11 +8,18 @@
  * Sits between the RequestQueue and the worker pool: a worker asks the
  * batcher for its next unit of work and receives a *batch* of
  * compatible requests instead of a single entry. The batcher pops a
- * seed request, then keeps a collect window open for at most
- * maxWaitUs, admitting every compatible request that arrives until the
- * batch is full, the window lapses, or an incompatible request shows
- * up (which is stashed to seed the next batch, never reordered behind
- * later arrivals of its own class).
+ * seed request, then takes every compatible request until the batch is
+ * full, the supply ends, or an incompatible request shows up (which is
+ * stashed to seed the next batch, never reordered behind later
+ * arrivals of its own class).
+ *
+ * The batcher is work-conserving: where the supply ends depends on
+ * whether another collector is parked in the blocking seed pop. If one
+ * is, the batch takes only what is already queued and ships — a new
+ * arrival is served sooner by the idle peer than by a batch that waits
+ * for it. Only when no peer is parked (every other worker solving, in
+ * its own window, or training; or a single worker) does the batch hold
+ * a collect window open for at most maxWaitUs to wait for company.
  *
  * Compatibility means the requests can share one batched solve:
  * identical input shape. Model and solver options are server-wide, so
@@ -30,6 +37,7 @@
  * arrival (or shutdown).
  */
 
+#include <atomic>
 #include <deque>
 #include <mutex>
 #include <vector>
@@ -59,6 +67,9 @@ struct CollectedBatch
     RuntimeClock::time_point firstPop{};
     /** Window duration: seed pop to window close. 0 for maxBatch 1. */
     double collectWaitMs = 0.0;
+    /** True when the window was skipped because a peer collector was
+     *  parked: the batch holds only what was already queued. */
+    bool windowSkipped = false;
 };
 
 /**
@@ -67,7 +78,7 @@ struct CollectedBatch
  * Multiple workers call collect() concurrently; each gets its own
  * batch. The only shared state is a FIFO stash holding the incompatible
  * requests that closed collect windows, protected by an internal mutex.
- * Each open window stashes at most one entry, so the stash holds at
+ * Each collect stashes at most one entry, so the stash holds at
  * most one entry per concurrently-collecting worker — but overlapping
  * windows can legitimately stash at the same time, which is why the
  * stash is a queue and not a single slot. Stashed entries seed
@@ -82,8 +93,8 @@ class Batcher
      * @param queue Source of requests (owned by the server).
      * @param maxBatch Upper bound on entries per batch (>= 1).
      * @param maxWaitUs Collect-window budget in microseconds; how long
-     *        a seeded batch may wait for company. Only meaningful when
-     *        maxBatch > 1.
+     *        a seeded batch may wait for company when no peer collector
+     *        is parked. Only meaningful when maxBatch > 1.
      * @param cache Optional solve cache: keyed requests whose exact
      *        entry is ready at pop are diverted to
      *        CollectedBatch::cacheHits instead of occupying the batch.
@@ -106,6 +117,11 @@ class Batcher
 
     std::size_t maxBatch() const { return maxBatch_; }
     double maxWaitUs() const { return maxWaitUs_; }
+    /** Collectors currently blocked in the seed pop. */
+    std::size_t parkedCollectors() const
+    {
+        return parked_.load(std::memory_order_relaxed);
+    }
 
   private:
     /** True when a and b may share one batched solve. */
@@ -126,6 +142,8 @@ class Batcher
 
     std::mutex stashMutex_;
     std::deque<QueueEntry> stash_;
+    /** Collectors inside the blocking seed pop (idle workers). */
+    std::atomic<std::size_t> parked_{0};
 };
 
 } // namespace enode

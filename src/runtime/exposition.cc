@@ -21,8 +21,8 @@ isCounterKey(const std::string &key)
         if (key.rfind(prefix, 0) == 0)
             return true;
     // The batch family mixes counts (dispatched/requests/partial
-    // failures, plus the size histogram above) with point-in-time
-    // occupancy and wait-percentile gauges.
+    // failures/skipped windows, plus the size histogram above) with
+    // point-in-time occupancy and wait-percentile gauges.
     // The overload family mixes counters (sheds, relaxed solves,
     // transitions) with level/score/residency gauges, so its counters
     // are listed exactly rather than by prefix.
@@ -32,6 +32,7 @@ isCounterKey(const std::string &key)
     static const char *kExact[] = {"batch.dispatched",
                                    "batch.requests",
                                    "batch.partial_failure",
+                                   "batch.window_skipped",
                                    "cache.exact_hit",
                                    "cache.warm_hit",
                                    "cache.miss",

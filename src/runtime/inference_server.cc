@@ -1028,10 +1028,11 @@ InferenceServer::serveOne(std::size_t worker_id, QueueEntry &entry)
         serve_span.arg("rungs", response.degraded ? 2.0 : 1.0);
 
     // Feed the admission cost model with the realized per-request
-    // service time, keyed by input shape.
+    // service time, keyed by input shape, and the queue depth that
+    // tells a busy completion gap from an idle one.
     if (admission_ != nullptr)
         admission_->observeSolve(shapeKeyOf(entry.request.input),
-                                 response.solveMs, 1);
+                                 response.solveMs, 1, queue_.size());
 
     activeWorkers_.fetch_sub(1, std::memory_order_relaxed);
 
@@ -1217,7 +1218,7 @@ InferenceServer::serveBatch(std::size_t worker_id, CollectedBatch &batch)
     }
 
     metrics_.recordBatchDispatch(n);
-    metrics_.recordCoalesceWait(batch.collectWaitMs);
+    metrics_.recordCoalesceWait(batch.collectWaitMs, batch.windowSkipped);
 
     activeWorkers_.fetch_add(1, std::memory_order_relaxed);
 
@@ -1317,7 +1318,7 @@ InferenceServer::serveBatch(std::size_t worker_id, CollectedBatch &batch)
     // divides by the batch size to recover per-request service time.
     if (admission_ != nullptr)
         admission_->observeSolve(shapeKeyOf(batch.entries[0].request.input),
-                                 batch_solve_ms, n);
+                                 batch_solve_ms, n, queue_.size());
 
     // Per-sample verdicts and, for the failures, the same degradation
     // ladder the solo path walks — one sample at a time, so a poisoned

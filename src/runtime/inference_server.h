@@ -149,6 +149,9 @@ struct ServerOptions
     /**
      * Collect-window budget in microseconds: once a worker has seeded
      * a batch it waits at most this long for company before solving.
+     * The window opens only when no other worker is parked idle in the
+     * seed pop; with one parked, the batch takes what is already
+     * queued and ships, leaving the next arrival to the idle worker.
      * Only meaningful when maxBatch > 1. Request deadlines still apply
      * inside the window — a request that expires while waiting is
      * failed, never solved.

@@ -36,10 +36,12 @@ MetricsRegistry::recordBatchDispatch(std::size_t size)
 }
 
 void
-MetricsRegistry::recordCoalesceWait(double ms)
+MetricsRegistry::recordCoalesceWait(double ms, bool windowSkipped)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     coalesceWaitMs_.add(ms);
+    if (windowSkipped)
+        windowsSkipped_++;
 }
 
 void
@@ -179,6 +181,7 @@ MetricsRegistry::summary() const
     s.batchesDispatched = batchesDispatched_;
     s.batchedRequests = batchedRequests_;
     s.partialFailures = partialFailures_;
+    s.windowsSkipped = windowsSkipped_;
     s.batchOccupancyMean =
         batchesDispatched_ ? static_cast<double>(batchedRequests_) /
                                  static_cast<double>(batchesDispatched_)
@@ -242,6 +245,7 @@ MetricsRegistry::snapshot(const std::string &group_name) const
     group.set("batch.requests", static_cast<double>(s.batchedRequests));
     group.set("batch.partial_failure",
               static_cast<double>(s.partialFailures));
+    group.set("batch.window_skipped", static_cast<double>(s.windowsSkipped));
     group.set("batch.occupancy_mean", s.batchOccupancyMean);
     group.set("batch.wait.p50_ms", s.coalesceWaitP50Ms);
     group.set("batch.wait.p95_ms", s.coalesceWaitP95Ms);
@@ -279,6 +283,7 @@ MetricsRegistry::reset()
     batchesDispatched_ = 0;
     batchedRequests_ = 0;
     partialFailures_ = 0;
+    windowsSkipped_ = 0;
     queueWaitMs_.reset();
     solveMs_.reset();
     totalMs_.reset();

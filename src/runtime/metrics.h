@@ -88,6 +88,10 @@ struct MetricsSummary
     std::uint64_t partialFailures = 0;
     /** Mean requests per dispatched batch (0 when none). */
     double batchOccupancyMean = 0.0;
+    /** Batches that skipped the collect window because a peer worker
+     *  was idle: batch size 1 from an idle server, not from a window
+     *  that found no company. */
+    std::uint64_t windowsSkipped = 0;
     /** Coalesce-window wait (first pop to dispatch) percentiles. */
     double coalesceWaitP50Ms = 0.0, coalesceWaitP95Ms = 0.0,
            coalesceWaitP99Ms = 0.0;
@@ -107,8 +111,9 @@ class MetricsRegistry
 
     /** One batched solve dispatched carrying `size` requests. */
     void recordBatchDispatch(std::size_t size);
-    /** Time one batch spent in the coalescing window before dispatch. */
-    void recordCoalesceWait(double ms);
+    /** Time one batch spent in the coalescing window before dispatch;
+     *  `windowSkipped` when a parked peer made it ship without one. */
+    void recordCoalesceWait(double ms, bool windowSkipped);
     /** A batch finished with a mix of Ok and non-Ok samples. */
     void recordPartialFailure();
 
@@ -160,6 +165,7 @@ class MetricsRegistry
     std::uint64_t batchesDispatched_ = 0;
     std::uint64_t batchedRequests_ = 0;
     std::uint64_t partialFailures_ = 0;
+    std::uint64_t windowsSkipped_ = 0;
     SampleSeries queueWaitMs_;
     SampleSeries solveMs_;
     SampleSeries totalMs_;

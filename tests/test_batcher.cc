@@ -10,9 +10,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstring>
+#include <future>
 #include <limits>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -623,6 +626,129 @@ TEST(Batcher, OverlappingWindowsStashConcurrently)
         EXPECT_EQ(all[i], i);
 }
 
+// ---------------------------------------------------------------------
+// Work conservation: a collect window opens only with no peer parked
+// ---------------------------------------------------------------------
+
+QueueEntry
+probeEntry(std::uint64_t id)
+{
+    QueueEntry entry;
+    entry.request.id = id;
+    entry.request.input = Tensor(Shape{kDim});
+    entry.enqueueTime = RuntimeClock::now();
+    return entry;
+}
+
+double
+msSince(RuntimeClock::time_point t)
+{
+    return std::chrono::duration<double, std::milli>(RuntimeClock::now() -
+                                                     t)
+        .count();
+}
+
+TEST(Batcher, ParkedPeerSkipsTheCollectWindow)
+{
+    // Two idle collectors parked on an empty queue, then one arrival.
+    // Whichever collector takes it still has a parked peer, so the
+    // batch ships at once with what is queued (the seed alone) instead
+    // of holding a 500 ms window for company the idle peer serves
+    // sooner.
+    RequestQueue queue(16, SelectPolicy::Fifo);
+    Batcher batcher(queue, /*maxBatch=*/4, /*maxWaitUs=*/500000.0);
+
+    std::mutex mutex;
+    std::vector<CollectedBatch> shipped;
+    std::atomic<std::size_t> batches{0};
+    std::vector<std::thread> collectors;
+    for (std::size_t c = 0; c < 2; c++) {
+        collectors.emplace_back([&] {
+            CollectedBatch batch;
+            while (batcher.collect(batch)) {
+                std::lock_guard<std::mutex> lock(mutex);
+                shipped.push_back(std::move(batch));
+                batches++;
+            }
+        });
+    }
+    while (batcher.parkedCollectors() != 2)
+        std::this_thread::yield();
+
+    const auto pushed = RuntimeClock::now();
+    QueueEntry entry = probeEntry(0);
+    EXPECT_TRUE(queue.tryPush(entry));
+    while (batches.load() == 0)
+        std::this_thread::yield();
+    const double elapsed_ms = msSince(pushed);
+    queue.close(/*drain=*/true);
+    for (auto &t : collectors)
+        t.join();
+
+    ASSERT_EQ(shipped.size(), 1u);
+    ASSERT_EQ(shipped[0].entries.size(), 1u);
+    EXPECT_EQ(shipped[0].entries[0].request.id, 0u);
+    EXPECT_TRUE(shipped[0].windowSkipped);
+    EXPECT_LT(shipped[0].collectWaitMs, 100.0);
+    EXPECT_LT(elapsed_ms, 250.0)
+        << "seed waited for company while a peer sat idle";
+}
+
+TEST(Batcher, LoneCollectorWaitsOutTheWindow)
+{
+    // A single collector has no peer to hand arrivals to: the window
+    // is waited out in full, as before work conservation.
+    RequestQueue queue(16, SelectPolicy::Fifo);
+    Batcher batcher(queue, /*maxBatch=*/4, /*maxWaitUs=*/50000.0);
+    QueueEntry entry = probeEntry(0);
+    ASSERT_TRUE(queue.tryPush(entry));
+
+    CollectedBatch batch;
+    ASSERT_TRUE(batcher.collect(batch));
+    ASSERT_EQ(batch.entries.size(), 1u);
+    EXPECT_FALSE(batch.windowSkipped);
+    EXPECT_GE(batch.collectWaitMs, 49.9);
+    EXPECT_EQ(batcher.parkedCollectors(), 0u);
+}
+
+TEST(Batcher, BusyPeerLeavesTheWindowOpen)
+{
+    // A peer that holds a batch (solving, outside collect) is not idle:
+    // it cannot take the next arrival, so the window stays open.
+    RequestQueue queue(16, SelectPolicy::Fifo);
+    Batcher batcher(queue, /*maxBatch=*/2, /*maxWaitUs=*/50000.0);
+    for (std::uint64_t id = 0; id < 2; id++) {
+        QueueEntry entry = probeEntry(id);
+        ASSERT_TRUE(queue.tryPush(entry));
+    }
+
+    std::promise<void> busy, release;
+    std::thread peer([&] {
+        CollectedBatch batch;
+        // A full batch of 2: ships without waiting out the window.
+        EXPECT_TRUE(batcher.collect(batch));
+        busy.set_value();
+        release.get_future().wait(); // stand-in for the batched solve
+        while (batcher.collect(batch)) {
+        }
+    });
+    busy.get_future().wait();
+
+    QueueEntry entry = probeEntry(2);
+    EXPECT_TRUE(queue.tryPush(entry));
+    CollectedBatch batch;
+    const bool collected = batcher.collect(batch);
+    release.set_value();
+    queue.close(/*drain=*/true);
+    peer.join();
+
+    ASSERT_TRUE(collected);
+    ASSERT_EQ(batch.entries.size(), 1u);
+    EXPECT_EQ(batch.entries[0].request.id, 2u);
+    EXPECT_FALSE(batch.windowSkipped);
+    EXPECT_GE(batch.collectWaitMs, 49.9);
+}
+
 TEST(Batching, ExpiredInCollectWindowIsNeverSolved)
 {
     // A single request whose deadline lapses inside the collect window
@@ -841,6 +967,47 @@ TEST(Batching, MetricsExposedThroughPrometheusText)
     EXPECT_NE(text.find("enode_batch_occupancy_mean"), std::string::npos);
     EXPECT_NE(text.find("enode_batch_wait_p99_ms"), std::string::npos);
     EXPECT_NE(text.find("enode_batch_size_bin_"), std::string::npos);
+}
+
+TEST(Batching, SkippedWindowsExposedThroughPrometheusText)
+{
+    // One worker never has a parked peer: every window opens and none
+    // is counted skipped.
+    {
+        InferenceServer server(makeReferenceModel, batchedOptions(1, 4));
+        for (std::size_t i = 0; i < 2; i++) {
+            auto sub = server.submit(makeInput(i));
+            ASSERT_TRUE(sub.accepted);
+            EXPECT_EQ(sub.result.get().status, RequestStatus::Ok);
+        }
+        server.stop();
+        EXPECT_EQ(server.metrics().summary().windowsSkipped, 0u);
+        const std::string text = server.metricsText();
+        EXPECT_NE(text.find("# TYPE enode_batch_window_skipped counter"),
+                  std::string::npos);
+        EXPECT_NE(text.find("enode_batch_window_skipped 0"),
+                  std::string::npos);
+    }
+    // Two idle workers: a lone arrival finds the other one parked and
+    // ships without a window. The pause between requests lets the
+    // worker that served the last one park again.
+    InferenceServer server(makeReferenceModel, batchedOptions(2, 4));
+    for (std::size_t i = 0; i < 20; i++) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        auto sub = server.submit(makeInput(i));
+        ASSERT_TRUE(sub.accepted);
+        InferResponse r = sub.result.get();
+        EXPECT_EQ(r.status, RequestStatus::Ok);
+        EXPECT_EQ(r.batchSize, 1u);
+        if (server.metrics().summary().windowsSkipped > 0)
+            break;
+    }
+    server.stop();
+    const MetricsSummary s = server.metrics().summary();
+    EXPECT_GE(s.windowsSkipped, 1u);
+    EXPECT_LE(s.windowsSkipped, s.batchesDispatched);
+    EXPECT_EQ(server.metricsText().find("enode_batch_window_skipped 0"),
+              std::string::npos);
 }
 
 TEST(Batching, DrainingShutdownCompletesQueuedBatches)

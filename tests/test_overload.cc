@@ -128,6 +128,32 @@ TEST(AdmissionCostModel, QueueDepthScalesTheDrainTerm)
     EXPECT_GE(deep - empty, 50.0 - 1e-9);
 }
 
+TEST(AdmissionCostModel, OnlyBusyCompletionGapsPriceTheDrain)
+{
+    // The realized-drain model learns from the gap between consecutive
+    // completions, but only when work was queued at the earlier one:
+    // a gap that starts on an empty queue is idle time, and pricing it
+    // as drain would shed the next burst against a pool that was
+    // waiting for work.
+    OverloadOptions o;
+    o.enabled = true;
+    o.ewmaAlpha = 1.0;
+    AdmissionController adm(o, /*numWorkers=*/1);
+    const std::uint64_t key = shapeKeyOf(Tensor(Shape{kDim}));
+    const auto gap = std::chrono::milliseconds(20);
+
+    adm.observeSolve(key, 0.01, 1, /*queueDepth=*/0);
+    const double before = adm.estimateMs(key, 10);
+    std::this_thread::sleep_for(gap);
+    adm.observeSolve(key, 0.01, 1, /*queueDepth=*/3); // idle gap behind
+    EXPECT_DOUBLE_EQ(adm.estimateMs(key, 10), before);
+
+    std::this_thread::sleep_for(gap);
+    adm.observeSolve(key, 0.01, 1, /*queueDepth=*/0); // busy gap behind
+    // 10 queued ahead, each now priced at the >= 20 ms realized gap.
+    EXPECT_GE(adm.estimateMs(key, 10) - before, 10 * 20.0 - 1.0);
+}
+
 TEST(AdmissionCostModel, ShapeKeyDistinguishesRankAndOrder)
 {
     EXPECT_NE(shapeKeyOf(Tensor(Shape{4, 8})),
