@@ -227,10 +227,11 @@ emitIntegratorReport()
  * datapath quantization, each on a 4096-element state — and of the
  * served 16-64-16 MLP's f kernels: tanh over 128 elements (the two
  * 64-wide hidden activations of one f-evaluation) and the Linear matvec
- * at 17->64 and 64->64 (forwardBatched on a batch of one: the bare
- * matvec plus bias). Every compiled and supported backend is forced in
- * turn; speedup is against the forced scalar backend (always first in
- * availableSimdBackends()).
+ * at 17->64, 64->64 and 64->16, the served layers (forwardBatched on a
+ * batch of one: the bare matvec plus bias). At 64->16 a 16-wide backend
+ * has a single accumulator chain, so that entry is latency-bound. Every
+ * compiled and supported backend is forced in turn; speedup is against
+ * the forced scalar backend (always first in availableSimdBackends()).
  */
 void
 emitBackendSweep()
@@ -242,7 +243,7 @@ emitBackendSweep()
     Tensor q = Tensor::randn(Shape{kN}, rng, 1.0f);
     Tensor act = Tensor::randn(Shape{128}, rng, 2.0f), actOut;
     Tanh tanhLayer;
-    Linear in17(17, 64, rng), hidden64(64, 64, rng);
+    Linear in17(17, 64, rng), hidden64(64, 64, rng), out16(64, 16, rng);
     Tensor x17 = Tensor::randn(Shape{1, 17}, rng, 1.0f);
     Tensor x64 = Tensor::randn(Shape{1, 64}, rng, 1.0f), linOut;
     double sink = 0.0;
@@ -283,6 +284,11 @@ emitBackendSweep()
         {"linear_matvec", "64x64", 2.0 * 64 * 64,
          [&] {
              hidden64.forwardBatched(x64, linOut);
+             benchmark::DoNotOptimize(linOut.data());
+         }},
+        {"linear_matvec", "64x16", 2.0 * 64 * 16,
+         [&] {
+             out16.forwardBatched(x64, linOut);
              benchmark::DoNotOptimize(linOut.data());
          }},
     };

@@ -24,9 +24,11 @@
  *
  * With `--batch` the demo instead sweeps the micro-batching knob
  * (ServerOptions::maxBatch 1/2/4/8) against a single worker under a
- * fixed closed-loop load and writes the sweep to BENCH_serving.json —
- * the same schema bench_runtime_throughput emits, sized to finish in
- * seconds so CI can sanity-check the batching win on every build.
+ * fixed closed-loop load and writes the sweep to
+ * BENCH_serving_quick.json — the `serving` section of the schema
+ * bench_runtime_throughput writes to BENCH_serving.json, in a file of
+ * its own so the full report is never overwritten, and sized to finish
+ * in seconds so CI can sanity-check the batching win on every build.
  *
  * Build & run:
  *   ./build/examples/example_inference_server --trace trace.json
@@ -273,6 +275,9 @@ runSoakDemo()
                     adm->level());
 }
 
+/** Where --batch writes its sweep (not the full BENCH_serving.json). */
+constexpr const char *kQuickServingReport = "BENCH_serving_quick.json";
+
 /** One point of the --batch sweep. */
 struct BatchPoint
 {
@@ -340,7 +345,7 @@ runBatchPoint(std::size_t max_batch, std::size_t clients,
     return point;
 }
 
-/** The --batch mode: sweep maxBatch, print, write BENCH_serving.json. */
+/** The --batch mode: sweep maxBatch, print, write kQuickServingReport. */
 int
 runBatchSweep()
 {
@@ -366,9 +371,9 @@ runBatchSweep()
     }
     table.print();
 
-    std::ofstream out("BENCH_serving.json", std::ios::trunc);
+    std::ofstream out(kQuickServingReport, std::ios::trunc);
     if (!out) {
-        std::fprintf(stderr, "cannot open BENCH_serving.json\n");
+        std::fprintf(stderr, "cannot open %s\n", kQuickServingReport);
         return 1;
     }
     out << "{\n  \"serving\": [\n";
@@ -385,7 +390,7 @@ runBatchSweep()
             << (i + 1 < points.size() ? ",\n" : "\n");
     }
     out << "  ]\n}\n";
-    std::printf("\nwrote BENCH_serving.json\n");
+    std::printf("\nwrote %s\n", kQuickServingReport);
     return 0;
 }
 

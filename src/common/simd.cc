@@ -42,14 +42,6 @@ struct VecF
     VecF div(VecF o) const { return {v / o.v}; }
     VecF min(VecF o) const { return {v < o.v ? v : o.v}; }
     VecF max(VecF o) const { return {v > o.v ? v : o.v}; }
-    static void
-    addLanes4(VecF r0, VecF r1, VecF r2, VecF r3, float s[4])
-    {
-        s[0] += r0.v;
-        s[1] += r1.v;
-        s[2] += r2.v;
-        s[3] += r3.v;
-    }
 };
 
 struct VecD

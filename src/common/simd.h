@@ -22,8 +22,12 @@
  *    so every backend is *bitwise identical* to scalar. All backend
  *    translation units are compiled with -ffp-contract=off to keep the
  *    compiler from re-fusing them.
+ *  - gemvT (the Linear matvec) runs in column form: each output owns a
+ *    lane and sums its terms serially in input order, so no lane ever
+ *    reduces across lanes and it is bitwise identical across backends
+ *    like the elementwise kernels.
  *  - Reductions use a *fixed lane structure* independent of register
- *    width: dot products accumulate into 16 float lanes (AVX-512 uses
+ *    width: accumDot16 accumulates into 16 float lanes (AVX-512 uses
  *    one 16-wide register, AVX2 two 8-wide, NEON four 4-wide, scalar a
  *    16-element array) and sum-of-squares into 8 double lanes, with a
  *    serial tail and a serial final reduction in fixed lane order.
@@ -105,23 +109,22 @@ struct SimdOps
      * *tail += a[i]*b[i] for the remainder. Lane structure is fixed at
      * 16 regardless of register width, so results are bitwise identical
      * across backends. Callers reduce as s = tail + lanes[0] + ... +
-     * lanes[15] (see dot for the one-shot form).
+     * lanes[15].
      */
     void (*accumDot16)(float lanes[16], float *tail, const float *a,
                        const float *b, std::size_t n);
     /**
-     * One-shot dot product under the same fixed 16-lane contract:
-     * zero lanes, accumDot16, then the serial tail-first reduction.
+     * Column-form matvec (the Linear layer): y[o] = bias[o] + sum over
+     * i of wt[i*n_out + o] * x[i], with wt the (n_in, n_out) transposed
+     * weight. Each output's sum starts at bias[o] (+0 when bias is
+     * null) and adds one rounded product per i, in order i = 0 .. n_in-1.
+     * Outputs sit in independent lanes (16/8/4/1 per register on
+     * AVX-512/AVX2/NEON/scalar) and nothing reduces across lanes, so
+     * every backend is bitwise identical to scalar. y must not alias
+     * wt, x or bias.
      */
-    float (*dot)(const float *a, const float *b, std::size_t n);
-    /**
-     * Four dots against one shared x: out[r] = dot(w + r*stride, x, n)
-     * for r = 0..3. Each row keeps dot's fixed 16-lane accumulation and
-     * tail-first reduction, so every output is bitwise equal to a
-     * one-row dot; the x loads are shared across the four rows.
-     */
-    void (*dotRows4)(float out[4], const float *w, std::size_t stride,
-                     const float *x, std::size_t n);
+    void (*gemvT)(float *y, const float *wt, const float *x,
+                  const float *bias, std::size_t n_in, std::size_t n_out);
 
     /**
      * y[i] = tanh(x[i]): a clamped odd rational approximation with
@@ -243,12 +246,6 @@ inline void
 copy(float *dst, const float *src, std::size_t n)
 {
     simdOps().copy(dst, src, n);
-}
-
-inline float
-dot(const float *a, const float *b, std::size_t n)
-{
-    return simdOps().dot(a, b, n);
 }
 
 inline double

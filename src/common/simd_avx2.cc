@@ -43,27 +43,6 @@ struct VecF
     VecF div(VecF o) const { return {_mm256_div_ps(v, o.v)}; }
     VecF min(VecF o) const { return {_mm256_min_ps(v, o.v)}; }
     VecF max(VecF o) const { return {_mm256_max_ps(v, o.v)}; }
-    static void
-    addLanes4(VecF r0, VecF r1, VecF r2, VecF r3, float s[4])
-    {
-        // In-lane 4x4 transposes: lane j of the four rows lands, as one
-        // 4-float column, in 128-bit half j / 4 of c[j % 4]. Then one
-        // serial 4-wide add per lane, in lane order.
-        const __m256d t0 = _mm256_castps_pd(_mm256_unpacklo_ps(r0.v, r1.v));
-        const __m256d t1 = _mm256_castps_pd(_mm256_unpackhi_ps(r0.v, r1.v));
-        const __m256d t2 = _mm256_castps_pd(_mm256_unpacklo_ps(r2.v, r3.v));
-        const __m256d t3 = _mm256_castps_pd(_mm256_unpackhi_ps(r2.v, r3.v));
-        const __m256 c[4] = {_mm256_castpd_ps(_mm256_unpacklo_pd(t0, t2)),
-                             _mm256_castpd_ps(_mm256_unpackhi_pd(t0, t2)),
-                             _mm256_castpd_ps(_mm256_unpacklo_pd(t1, t3)),
-                             _mm256_castpd_ps(_mm256_unpackhi_pd(t1, t3))};
-        __m128 acc = _mm_loadu_ps(s);
-        for (const __m256 &col : c)
-            acc = _mm_add_ps(acc, _mm256_castps256_ps128(col));
-        for (const __m256 &col : c)
-            acc = _mm_add_ps(acc, _mm256_extractf128_ps(col, 1));
-        _mm_storeu_ps(s, acc);
-    }
 };
 
 struct VecD

@@ -8,45 +8,25 @@
 
 namespace enode {
 
-namespace {
-
-/**
- * out[o] = bias[o] + weight[o] . x — the Linear matvec, four output rows
- * per fixed-lane SIMD dotRows4 call (sharing the x loads) and one-row
- * dots for the last O % 4 rows. dotRows4 is bitwise equal to four dot
- * calls, so every output is the same fixed-lane dot whichever call
- * produced it. Solo forward and the batched per-sample loop both call
- * exactly this, so a batched solve reproduces the solo outputs bitwise
- * at every batch size (the batched-vs-solo contract the runtime tests
- * pin).
- */
-void
-matvec(const SimdOps &ops, const float *wd, const float *bd, std::size_t O,
-       std::size_t I, const float *x, float *out)
-{
-    std::size_t o = 0;
-    for (; o + 4 <= O; o += 4)
-        ops.dotRows4(out + o, wd + o * I, I, x, I);
-    for (; o < O; o++)
-        out[o] = ops.dot(wd + o * I, x, I);
-    if (bd)
-        for (o = 0; o < O; o++)
-            out[o] = bd[o] + out[o];
-}
-
-} // namespace
-
 Linear::Linear(std::size_t in_features, std::size_t out_features, Rng &rng,
                bool with_bias)
     : inFeatures_(in_features),
       outFeatures_(out_features),
       withBias_(with_bias),
-      weightGrad_(Shape{out_features, in_features})
+      weight_(Shape{in_features, out_features}),
+      weightGrad_(Shape{in_features, out_features})
 {
+    // W is drawn as (out, in) and stored transposed, so the rng stream,
+    // and with it every seeded model's function, does not depend on the
+    // storage layout.
     const float bound =
         static_cast<float>(std::sqrt(6.0 / static_cast<double>(in_features)));
-    weight_ = Tensor::uniform(Shape{out_features, in_features}, rng, -bound,
-                              bound);
+    const Tensor w = Tensor::uniform(Shape{out_features, in_features}, rng,
+                                     -bound, bound);
+    for (std::size_t o = 0; o < out_features; o++)
+        for (std::size_t i = 0; i < in_features; i++)
+            weight_.data()[i * out_features + o] =
+                w.data()[o * in_features + i];
     if (withBias_) {
         bias_ = Tensor::uniform(Shape{out_features}, rng, -bound, bound);
         biasGrad_ = Tensor(Shape{out_features});
@@ -60,8 +40,9 @@ Linear::forward(const Tensor &x)
                  "Linear expects (", inFeatures_, "), got ", x.shape().str());
     cachedInput_ = x;
     Tensor out(Shape{outFeatures_});
-    matvec(simdOps(), weight_.data(), withBias_ ? bias_.data() : nullptr,
-           outFeatures_, inFeatures_, x.data(), out.data());
+    simdOps().gemvT(out.data(), weight_.data(), x.data(),
+                    withBias_ ? bias_.data() : nullptr, inFeatures_,
+                    outFeatures_);
     return out;
 }
 
@@ -76,19 +57,14 @@ Linear::forwardBatched(const Tensor &xs, Tensor &out)
     const float *xd = xs.data();
     float *od = out.data();
 
-    // Per-sample matvec, the exact solo kernel. The previous scheme
-    // blocked samples eight at a time through a transposed scratch to
-    // manufacture SIMD width from sample parallelism, which left every
-    // batch smaller than eight (and every remainder) on a scalar path —
-    // the source of the non-monotone serving-throughput dip at batch 4.
-    // With the dot itself vectorized through the fixed-lane SIMD
-    // kernel, width comes from the feature dimension instead and every
-    // batch size takes the same path.
+    // Per-sample matvec through the solo kernel, so a batched solve
+    // reproduces the solo outputs bitwise at every batch size (the
+    // batched-vs-solo contract the runtime tests pin).
     const SimdOps &ops = simdOps();
     const float *bd = withBias_ ? bias_.data() : nullptr;
     for (std::size_t s = 0; s < n; s++)
-        matvec(ops, weight_.data(), bd, outFeatures_, inFeatures_,
-               xd + s * inFeatures_, od + s * outFeatures_);
+        ops.gemvT(od + s * outFeatures_, weight_.data(), xd + s * inFeatures_,
+                  bd, inFeatures_, outFeatures_);
 }
 
 Tensor
@@ -99,22 +75,26 @@ Linear::backward(const Tensor &grad_out)
                      grad_out.shape().dim(0) == outFeatures_,
                  "Linear grad_out shape mismatch");
 
-    for (std::size_t o = 0; o < outFeatures_; o++) {
-        const float g = grad_out.at(o);
-        float *gw_row = weightGrad_.data() + o * inFeatures_;
-        for (std::size_t i = 0; i < inFeatures_; i++)
-            gw_row[i] += g * cachedInput_.at(i);
-        if (withBias_)
-            biasGrad_.at(o) += g;
-    }
-
+    // dW[i][o] += g[o] * x[i] (one rounded op pair per element) and
+    // dx[i] = sum over o of W[i][o] * g[o] in order o = 0 .. out-1.
+    const float *gd = grad_out.data();
+    const float *xd = cachedInput_.data();
+    const float *wd = weight_.data();
+    float *gw = weightGrad_.data();
     Tensor grad_in(Shape{inFeatures_});
     for (std::size_t i = 0; i < inFeatures_; i++) {
+        const float *w_row = wd + i * outFeatures_;
+        float *gw_row = gw + i * outFeatures_;
         float acc = 0.0f;
-        for (std::size_t o = 0; o < outFeatures_; o++)
-            acc += weight_.data()[o * inFeatures_ + i] * grad_out.at(o);
+        for (std::size_t o = 0; o < outFeatures_; o++) {
+            gw_row[o] += gd[o] * xd[i];
+            acc += w_row[o] * gd[o];
+        }
         grad_in.at(i) = acc;
     }
+    if (withBias_)
+        for (std::size_t o = 0; o < outFeatures_; o++)
+            biasGrad_.at(o) += gd[o];
     return grad_in;
 }
 

@@ -16,7 +16,10 @@ namespace enode {
 
 class Rng;
 
-/** y = W x + b on rank-1 tensors. */
+/**
+ * y = W x + b on rank-1 tensors. W is stored transposed, shape
+ * (in, out), so the matvec runs in column form through simdOps().gemvT.
+ */
 class Linear : public Layer
 {
   public:
@@ -33,6 +36,7 @@ class Linear : public Layer
     std::size_t inFeatures() const { return inFeatures_; }
     std::size_t outFeatures() const { return outFeatures_; }
 
+    /** The weight as stored: W transposed, shape (in, out). */
     Tensor &weight() { return weight_; }
 
   private:
@@ -40,7 +44,7 @@ class Linear : public Layer
     std::size_t outFeatures_;
     bool withBias_;
 
-    Tensor weight_; // (out, in)
+    Tensor weight_; // W transposed: (in, out)
     Tensor weightGrad_;
     Tensor bias_; // (out) or empty
     Tensor biasGrad_;

@@ -12,7 +12,10 @@ namespace enode {
 namespace {
 
 constexpr char kMagic[4] = {'E', 'N', 'O', 'D'};
-constexpr std::uint32_t kVersion = 1;
+// Version 2: Linear stores its weight transposed, (in, out). A version-1
+// file would fail the shape check on every non-square Linear and load a
+// square one transposed, so it is refused outright.
+constexpr std::uint32_t kVersion = 2;
 
 template <typename T>
 void

@@ -195,6 +195,28 @@ TEST(Linear, GradientsMatchFiniteDifferences)
     checkParamGradients(lin, x, rng);
 }
 
+TEST(Linear, WeightIsTransposeOfTheOutByInDraw)
+{
+    // The constructor draws W as (out, in), then the bias, from the
+    // caller's rng, and stores W transposed as (in, out): the same seed
+    // gives the same function whatever the storage layout.
+    const std::size_t in = 5, out = 3;
+    Rng rng(11), ref(11);
+    Linear lin(in, out, rng);
+    const float bound = static_cast<float>(std::sqrt(6.0 / in));
+    const Tensor w = Tensor::uniform(Shape{out, in}, ref, -bound, bound);
+    const Tensor b = Tensor::uniform(Shape{out}, ref, -bound, bound);
+    ASSERT_EQ(lin.weight().shape(), (Shape{in, out}));
+    for (std::size_t o = 0; o < out; o++)
+        for (std::size_t i = 0; i < in; i++)
+            EXPECT_EQ(lin.weight().data()[i * out + o], w.data()[o * in + i])
+                << o << "," << i;
+    const auto slots = lin.paramSlots();
+    ASSERT_EQ(slots.size(), 2u);
+    EXPECT_EQ(Tensor::maxAbsDiff(*slots[1].param, b), 0.0);
+    EXPECT_EQ(rng.nextU64(), ref.nextU64()) << "rng streams diverged";
+}
+
 TEST(Pooling, ForwardAndGradients)
 {
     Rng rng(8);

@@ -4,12 +4,13 @@
  * and every kernel's equivalence contract against the scalar oracle.
  *
  * The contracts under test (see DESIGN.md "SIMD backend & dispatch"):
- *  - elementwise kernels and the fixed-lane reductions (16-float dot,
- *    8-double sum of squares) are *bitwise identical* across backends,
- *    at every size including ragged tails;
+ *  - elementwise kernels, the column-form gemvT and the fixed-lane
+ *    reductions (16-float accumDot16, 8-double sum of squares) are
+ *    *bitwise identical* across backends, at every size including
+ *    ragged tails;
  *  - the fixed-lane reductions sit within a documented reduction-order
  *    tolerance of a plain serial sum;
- *  - dotRows4 is bitwise equal to four one-row dots; tanh stays within
+ *  - gemvT is each output's serial sum in input order; tanh stays within
  *    8 ulp of tanh on a sweep of every float, and Linear/Tanh batched
  *    forwards match the solo ones bitwise;
  *  - allFinite is exact; the fp16 conversions are bitwise against the
@@ -282,15 +283,6 @@ TEST_F(SimdKernelEquivalence, AccumDot16LanesAndTail)
     });
 }
 
-TEST_F(SimdKernelEquivalence, DotIsBitwiseUnderFixedLaneContract)
-{
-    expectBitwiseAcrossBackends([](const SimdOps &ops, std::size_t n) {
-        const std::vector<float> a = testData(n, 59);
-        const std::vector<float> b = testData(n, 61);
-        return std::vector<float>{ops.dot(a.data(), b.data(), n)};
-    });
-}
-
 TEST_F(SimdKernelEquivalence, SumSquaresIsBitwiseUnderFixedLaneContract)
 {
     for (SimdBackend b : vectorBackends()) {
@@ -337,40 +329,129 @@ TEST_F(SimdKernelEquivalence, AllFiniteExactEverywhere)
     }
 }
 
-TEST_F(SimdKernelEquivalence, DotRows4IsBitwiseAcrossBackends)
+/** Output and input widths that straddle every backend's lane count. */
+const std::size_t kGemvOuts[] = {1, 3, 4, 15, 16, 17, 63, 64, 65, 66};
+const std::size_t kGemvIns[] = {0, 1, 16, 17, 64, 65};
+
+/** acc + w * x as two rounded ops, out of the compiler's reach to fuse. */
+float
+addProduct(float acc, float w, float x)
 {
-    expectBitwiseAcrossBackends([](const SimdOps &ops, std::size_t n) {
-        const std::size_t stride = n + 3;
-        const std::vector<float> w = testData(4 * stride, 73);
-        const std::vector<float> x = testData(n, 79);
-        std::vector<float> out(4);
-        ops.dotRows4(out.data(), w.data(), stride, x.data(), n);
-        return out;
-    });
+    volatile float p = w * x;
+    return acc + p;
 }
 
-TEST_F(SimdKernelEquivalence, DotRows4IsFourOneRowDots)
+TEST_F(SimdKernelEquivalence, GemvTIsEachOutputsSerialSumOnEveryBackend)
 {
-    std::vector<std::size_t> sizes;
-    for (std::size_t n = 0; n <= 40; n++)
-        sizes.push_back(n);
-    sizes.insert(sizes.end(), {63, 64, 65});
+    for (std::size_t nOut : kGemvOuts) {
+        for (std::size_t nIn : kGemvIns) {
+            for (bool withBias : {false, true}) {
+                const auto seed =
+                    static_cast<std::uint32_t>(101 + nOut * 7 + nIn);
+                const std::string where = std::to_string(nIn) + "x" +
+                                          std::to_string(nOut) +
+                                          " bias=" + std::to_string(withBias);
+                // The contract: bias (or +0), then one rounded product
+                // per input, in input order.
+                const std::vector<float> wt = testData(nIn * nOut, seed);
+                const std::vector<float> x = testData(nIn, seed + 1);
+                const std::vector<float> bias = testData(nOut, seed + 2);
+                std::vector<float> serial(nOut);
+                for (std::size_t o = 0; o < nOut; o++) {
+                    float acc = withBias ? bias[o] : 0.0f;
+                    for (std::size_t i = 0; i < nIn; i++)
+                        acc = addProduct(acc, wt[i * nOut + o], x[i]);
+                    serial[o] = acc;
+                }
+                // y starts as junk the kernel must overwrite.
+                auto run = [&] {
+                    std::vector<float> y(nOut, -7.0f);
+                    simdOps().gemvT(y.data(), wt.data(), x.data(),
+                                    withBias ? bias.data() : nullptr, nIn,
+                                    nOut);
+                    return y;
+                };
+                std::vector<float> scalarOut;
+                {
+                    ScopedSimdBackend forced(SimdBackend::Scalar);
+                    ASSERT_TRUE(forced.applied());
+                    scalarOut = run();
+                }
+                EXPECT_TRUE(bitwiseEqual(scalarOut, serial))
+                    << "scalar gemvT is not the serial sum at " << where;
+                for (SimdBackend b : vectorBackends()) {
+                    ScopedSimdBackend forced(b);
+                    ASSERT_TRUE(forced.applied());
+                    EXPECT_TRUE(bitwiseEqual(run(), scalarOut))
+                        << simdBackendName(b)
+                        << " gemvT diverged from scalar at " << where;
+                }
+            }
+        }
+    }
+}
+
+TEST_F(SimdKernelEquivalence, GemvTPropagatesNanAndInfPerOutput)
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const std::size_t nIn = 17;
     for (SimdBackend b : availableSimdBackends()) {
         ScopedSimdBackend forced(b);
         ASSERT_TRUE(forced.applied());
         const SimdOps &ops = simdOps();
-        for (std::size_t n : sizes) {
-            // A row stride that is not n: rows are slices of a wider
-            // matrix, with junk between them the kernel must not read.
-            const std::size_t stride = n + 5;
-            const std::vector<float> w = testData(4 * stride, 83 + n);
-            const std::vector<float> x = testData(n, 89 + n);
-            std::vector<float> fused(4), oneRow(4);
-            ops.dotRows4(fused.data(), w.data(), stride, x.data(), n);
-            for (std::size_t r = 0; r < 4; r++)
-                oneRow[r] = ops.dot(w.data() + r * stride, x.data(), n);
-            EXPECT_TRUE(bitwiseEqual(fused, oneRow))
-                << simdBackendName(b) << " dotRows4 != 4 x dot at n=" << n;
+        for (std::size_t nOut : kGemvOuts) {
+            std::mt19937 rng(static_cast<std::uint32_t>(nOut));
+            std::uniform_real_distribution<float> unit(-1.0f, 1.0f);
+            std::vector<float> wt(nIn * nOut), x(nIn), bias(nOut);
+            for (float &v : wt)
+                v = unit(rng);
+            for (float &v : x)
+                v = unit(rng);
+            for (float &v : bias)
+                v = unit(rng);
+            const std::size_t hit = nOut / 2;
+            const std::string where = std::string(simdBackendName(b)) +
+                                      " nOut=" + std::to_string(nOut);
+            std::vector<float> y(nOut);
+            auto run = [&] {
+                ops.gemvT(y.data(), wt.data(), x.data(), bias.data(), nIn,
+                          nOut);
+            };
+
+            // NaN in x reaches every output.
+            x[5] = nan;
+            run();
+            for (std::size_t o = 0; o < nOut; o++)
+                EXPECT_TRUE(std::isnan(y[o])) << where << " o=" << o;
+            x[5] = 0.5f;
+
+            // NaN in one bias, then Inf in one weight: only that output
+            // changes, and no lane leaks into another.
+            bias[hit] = nan;
+            run();
+            for (std::size_t o = 0; o < nOut; o++)
+                EXPECT_EQ(std::isnan(y[o]), o == hit) << where << " o=" << o;
+            bias[hit] = 0.0f;
+
+            wt[3 * nOut + hit] = x[3] > 0.0f ? inf : -inf;
+            run();
+            for (std::size_t o = 0; o < nOut; o++) {
+                if (o == hit)
+                    EXPECT_EQ(y[o], inf) << where;
+                else
+                    EXPECT_TRUE(std::isfinite(y[o])) << where << " o=" << o;
+            }
+
+            // Inf * 0 is NaN; a later +Inf - Inf in the same chain too.
+            const float saved = x[3];
+            x[3] = 0.0f;
+            run();
+            EXPECT_TRUE(std::isnan(y[hit])) << where;
+            x[3] = saved;
+            wt[9 * nOut + hit] = x[9] > 0.0f ? -inf : inf;
+            run();
+            EXPECT_TRUE(std::isnan(y[hit])) << where;
         }
     }
 }
@@ -500,34 +581,43 @@ TEST_F(SimdKernelEquivalence, TanhSpecialValues)
 
 TEST_F(SimdKernelEquivalence, LinearAndTanhBatchedMatchSoloAtEveryBatchSize)
 {
+    // 17 -> 66: a ragged input width and outputs past the last full
+    // vector on every backend. 64 -> 16: the served MLP's output layer,
+    // one vector of outputs on AVX-512.
+    const std::size_t shapes[][2] = {{17, 66}, {64, 16}};
     for (SimdBackend b : availableSimdBackends()) {
         ScopedSimdBackend forced(b);
         ASSERT_TRUE(forced.applied());
-        // 17 -> 66: a ragged input width and two rows past the last
-        // four-row block.
-        Rng rng(101);
-        Linear linear(17, 66, rng);
-        Tanh tanhLayer;
-        for (std::size_t batch = 1; batch <= 9; batch++) {
-            Tensor xs = Tensor::uniform(Shape{batch, 17}, rng, -3.0f, 3.0f);
-            Tensor linOut, tanhOut;
-            linear.forwardBatched(xs, linOut);
-            tanhLayer.forwardBatched(linOut, tanhOut);
-            for (std::size_t s = 0; s < batch; s++) {
-                Tensor x(Shape{17});
-                std::memcpy(x.data(), xs.data() + s * 17, 17 * sizeof(float));
-                const Tensor lin = linear.forward(x);
-                const Tensor act = tanhLayer.forward(lin);
-                EXPECT_EQ(std::memcmp(lin.data(), linOut.data() + s * 66,
-                                      66 * sizeof(float)),
-                          0)
-                    << simdBackendName(b) << " Linear, batch " << batch
-                    << " sample " << s;
-                EXPECT_EQ(std::memcmp(act.data(), tanhOut.data() + s * 66,
-                                      66 * sizeof(float)),
-                          0)
-                    << simdBackendName(b) << " Tanh, batch " << batch
-                    << " sample " << s;
+        for (const auto &shape : shapes) {
+            const std::size_t nIn = shape[0], nOut = shape[1];
+            Rng rng(101);
+            Linear linear(nIn, nOut, rng);
+            Tanh tanhLayer;
+            for (std::size_t batch = 1; batch <= 9; batch++) {
+                Tensor xs =
+                    Tensor::uniform(Shape{batch, nIn}, rng, -3.0f, 3.0f);
+                Tensor linOut, tanhOut;
+                linear.forwardBatched(xs, linOut);
+                tanhLayer.forwardBatched(linOut, tanhOut);
+                for (std::size_t s = 0; s < batch; s++) {
+                    Tensor x(Shape{nIn});
+                    std::memcpy(x.data(), xs.data() + s * nIn,
+                                nIn * sizeof(float));
+                    const Tensor lin = linear.forward(x);
+                    const Tensor act = tanhLayer.forward(lin);
+                    EXPECT_EQ(std::memcmp(lin.data(),
+                                          linOut.data() + s * nOut,
+                                          nOut * sizeof(float)),
+                              0)
+                        << simdBackendName(b) << " Linear " << nIn << "->"
+                        << nOut << ", batch " << batch << " sample " << s;
+                    EXPECT_EQ(std::memcmp(act.data(),
+                                          tanhOut.data() + s * nOut,
+                                          nOut * sizeof(float)),
+                              0)
+                        << simdBackendName(b) << " Tanh " << nIn << "->"
+                        << nOut << ", batch " << batch << " sample " << s;
+                }
             }
         }
     }
@@ -558,7 +648,7 @@ TEST(SimdReductionTolerance, SumSquaresVsSerial)
     }
 }
 
-TEST(SimdReductionTolerance, DotVsSerialDouble)
+TEST(SimdReductionTolerance, AccumDot16VsSerialDouble)
 {
     const std::size_t n = 1024;
     std::mt19937 rng(79);
@@ -578,7 +668,11 @@ TEST(SimdReductionTolerance, DotVsSerialDouble)
     for (SimdBackend backend : availableSimdBackends()) {
         ScopedSimdBackend forced(backend);
         ASSERT_TRUE(forced.applied());
-        const float got = simdOps().dot(a.data(), b.data(), n);
+        float lanes[16] = {};
+        float got = 0.0f;
+        simdOps().accumDot16(lanes, &got, a.data(), b.data(), n);
+        for (float lane : lanes)
+            got += lane; // the callers' tail-first reduction
         EXPECT_NEAR(static_cast<double>(got), serial, tol)
             << simdBackendName(backend);
     }
