@@ -18,15 +18,23 @@
  */
 
 #include <chrono>
+#include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <iomanip>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <cpuid.h>
+#endif
+
 #include "common/rng.h"
+#include "common/simd.h"
 #include "tensor/workspace.h"
 #include "core/aca_trainer.h"
 #include "core/node_model.h"
@@ -324,6 +332,97 @@ runWorkload(const std::string &name, const RunConfig &cfg)
 }
 
 // ---------------------------------------------------------------------
+// Machine provenance for every BENCH_*.json
+//
+// A number read off a report means little without the machine and
+// build that produced it: each writer records this block beside its
+// results so files from different hosts or commits are never compared
+// blindly.
+// ---------------------------------------------------------------------
+
+/** The CPU brand string (cpuid on x86, "unknown" elsewhere). */
+inline std::string
+cpuModel()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    if (__get_cpuid_max(0x80000000u, nullptr) < 0x80000004u)
+        return "unknown";
+    unsigned regs[12] = {};
+    for (unsigned i = 0; i < 3; i++)
+        __get_cpuid(0x80000002u + i, &regs[4 * i], &regs[4 * i + 1],
+                    &regs[4 * i + 2], &regs[4 * i + 3]);
+    char brand[49] = {};
+    std::memcpy(brand, regs, 48);
+    const std::string s(brand);
+    const auto first = s.find_first_not_of(' ');
+    if (first == std::string::npos)
+        return "unknown";
+    return s.substr(first, s.find_last_not_of(' ') - first + 1);
+#else
+    return "unknown";
+#endif
+}
+
+/**
+ * HEAD of the git checkout the bench runs in, suffixed "-dirty" when
+ * the working tree has uncommitted changes; "unavailable" outside one.
+ */
+inline std::string
+gitSha()
+{
+    std::string sha;
+    if (FILE *pipe = popen(
+            "git describe --always --dirty --abbrev=40 --exclude='*' "
+            "2>/dev/null", "r")) {
+        char buf[64] = {};
+        if (std::fgets(buf, sizeof(buf), pipe) != nullptr)
+            sha = buf;
+        pclose(pipe);
+    }
+    while (!sha.empty() && (sha.back() == '\n' || sha.back() == ' '))
+        sha.pop_back();
+    return sha.empty() ? "unavailable" : sha;
+}
+
+/** JSON string literal; control characters are dropped. */
+inline std::string
+jsonQuoted(const std::string &s)
+{
+    std::string out = "\"";
+    for (char c : s) {
+        if (c == '"' || c == '\\')
+            out += '\\';
+        if (static_cast<unsigned char>(c) >= 0x20)
+            out += c;
+    }
+    return out + "\"";
+}
+
+/**
+ * One-line JSON object naming the machine and build: logical CPUs,
+ * CPU model, active SIMD backend, compiler and git sha. Writers emit
+ * it under a top-level "machine" key.
+ */
+inline std::string
+machineJson()
+{
+#if defined(__clang__)
+    const std::string compiler = "clang " __clang_version__;
+#elif defined(__GNUC__)
+    const std::string compiler = "gcc " __VERSION__;
+#else
+    const std::string compiler = "unknown";
+#endif
+    return "{\"nproc\": " +
+           std::to_string(std::thread::hardware_concurrency()) +
+           ", \"cpu_model\": " + jsonQuoted(cpuModel()) +
+           ", \"simd_backend\": " +
+           jsonQuoted(simdBackendName(activeSimdBackend())) +
+           ", \"compiler\": " + jsonQuoted(compiler) +
+           ", \"git_sha\": " + jsonQuoted(gitSha()) + "}";
+}
+
+// ---------------------------------------------------------------------
 // Machine-readable kernel report (BENCH_kernels.json)
 //
 // The micro-benches additionally emit a small JSON file so speedups and
@@ -405,8 +504,9 @@ allocMissesPerOp(F &&fn, int iters = 8)
 
 /**
  * Merge `entries` into the JSON report at `path` (by name) and rewrite
- * it. The file is our own single-entry-per-line format; unknown lines
- * from other tools are not preserved.
+ * it with this run's machine block. The file is our own
+ * single-entry-per-line format; unknown lines from other tools are not
+ * preserved.
  */
 inline void
 writeKernelReport(const std::vector<KernelBenchEntry> &entries,
@@ -456,7 +556,8 @@ writeKernelReport(const std::vector<KernelBenchEntry> &entries,
     }
 
     std::ofstream out(path, std::ios::trunc);
-    out << "{\n  \"entries\": [\n";
+    out << "{\n  \"machine\": " << machineJson()
+        << ",\n  \"entries\": [\n";
     for (std::size_t i = 0; i < rows.size(); i++)
         out << rows[i].second << (i + 1 < rows.size() ? ",\n" : "\n");
     out << "  ]\n}\n";

@@ -58,6 +58,8 @@
 #include "ode/step_control.h"
 #include "runtime/inference_server.h"
 
+#include "bench_common.h"
+
 using namespace enode;
 
 namespace {
@@ -437,7 +439,8 @@ writeServingReport(const std::vector<ServingPoint> &points,
                    const std::string &path = "BENCH_serving.json")
 {
     std::ofstream out(path, std::ios::trunc);
-    out << "{\n  \"serving\": [\n";
+    out << "{\n  \"machine\": " << bench::machineJson()
+        << ",\n  \"serving\": [\n";
     for (std::size_t i = 0; i < points.size(); i++) {
         const ServingPoint &p = points[i];
         out << "    {\"name\": \"serving/batch=" << p.maxBatch

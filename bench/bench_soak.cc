@@ -53,6 +53,8 @@
 #include "runtime/inference_server.h"
 #include "workloads/load_gen.h"
 
+#include "bench_common.h"
+
 using namespace enode;
 
 namespace {
@@ -229,7 +231,8 @@ writeReport(const std::vector<SoakResult> &runs, double unloadedP99,
             const std::string &path = "BENCH_soak.json")
 {
     std::ofstream out(path, std::ios::trunc);
-    out << "{\n  \"unloaded_p99_ms\": " << std::fixed
+    out << "{\n  \"machine\": " << bench::machineJson()
+        << ",\n  \"unloaded_p99_ms\": " << std::fixed
         << std::setprecision(3) << unloadedP99 << ",\n  \"runs\": [\n";
     for (std::size_t i = 0; i < runs.size(); i++) {
         const SoakResult &r = runs[i];

@@ -46,6 +46,8 @@
 #include "runtime/inference_server.h"
 #include "runtime/training_service.h"
 
+#include "bench_common.h"
+
 using namespace enode;
 
 namespace {
@@ -185,7 +187,8 @@ writeReport(const LoadResult &baseline, const LoadResult &trained,
                              ? trained.goodputRps / baseline.goodputRps
                              : 0.0;
     std::ofstream out(path, std::ios::trunc);
-    out << std::fixed << "{\n  \"inference_only\": {"
+    out << std::fixed << "{\n  \"machine\": " << bench::machineJson()
+        << ",\n  \"inference_only\": {"
         << std::setprecision(2)
         << "\"goodput_rps\": " << baseline.goodputRps
         << std::setprecision(3) << ", \"p50_ms\": " << baseline.p50Ms

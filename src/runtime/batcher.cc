@@ -60,27 +60,6 @@ Batcher::compatible(const QueueEntry &a, const QueueEntry &b)
 }
 
 bool
-Batcher::takeStash(QueueEntry &out)
-{
-    std::lock_guard<std::mutex> lock(stashMutex_);
-    if (stash_.empty())
-        return false;
-    out = std::move(stash_.front());
-    stash_.pop_front();
-    return true;
-}
-
-void
-Batcher::putStash(QueueEntry entry)
-{
-    // A FIFO, not a single slot: workers collect concurrently, and two
-    // overlapping windows may each stash the incompatible arrival that
-    // closed them before either seeds its next batch.
-    std::lock_guard<std::mutex> lock(stashMutex_);
-    stash_.push_back(std::move(entry));
-}
-
-bool
 Batcher::collect(CollectedBatch &out)
 {
     out.entries.clear();
@@ -89,39 +68,30 @@ Batcher::collect(CollectedBatch &out)
     out.collectWaitMs = 0.0;
     out.windowSkipped = false;
 
-    // Seed: the stashed incompatible request from a previous window
-    // goes first (it was dispatched by the queue before anything still
-    // queued), otherwise block for the next queued request. Requests
-    // already past their deadline are diverted to `expired` and the
-    // hunt continues — but never past queue closure, and never by
-    // blocking while casualties are in hand.
+    // Seed: block for the next queued request. Requests already past
+    // their deadline are diverted to `expired` and the hunt continues —
+    // but never past queue closure, and never by blocking while
+    // casualties are in hand.
     QueueEntry seed;
     for (;;) {
-        if (!takeStash(seed)) {
-            if (!out.expired.empty() || !out.cacheHits.empty()) {
-                // Diverted entries are waiting on their terminal
-                // responses. If the queue has nothing ready right now,
-                // ship them instead of parking in a blocking pop — a
-                // backlog of lapsed deadlines on a quiet queue would
-                // otherwise hang unanswered until the next arrival or
-                // shutdown. The next collect() resumes the blocking
-                // hunt.
-                if (queue_.popUntil(seed, RuntimeClock::now()) !=
-                    PopStatus::Ok)
-                    return true;
-            } else {
-                // Parked: idle until the next arrival. A peer that pops
-                // a seed meanwhile skips its window and leaves new
-                // arrivals to this collector.
-                parked_.fetch_add(1, std::memory_order_relaxed);
-                const bool popped = queue_.pop(seed);
-                parked_.fetch_sub(1, std::memory_order_relaxed);
-                // Queue closed and drained — but another worker may
-                // have stashed an entry while this one blocked in pop.
-                // A final stash check keeps shutdown from stranding it.
-                if (!popped && !takeStash(seed))
-                    return false;
-            }
+        if (!out.expired.empty() || !out.cacheHits.empty()) {
+            // Diverted entries are waiting on their terminal responses.
+            // If the queue has nothing ready right now, ship them
+            // instead of parking in a blocking pop — a backlog of
+            // lapsed deadlines on a quiet queue would otherwise hang
+            // unanswered until the next arrival or shutdown. The next
+            // collect() resumes the blocking hunt.
+            if (queue_.popUntil(seed, RuntimeClock::now()) != PopStatus::Ok)
+                return true;
+        } else {
+            // Parked: idle until the next arrival. A peer that pops a
+            // seed meanwhile skips its window and leaves new arrivals
+            // to this collector.
+            parked_.fetch_add(1, std::memory_order_relaxed);
+            const bool popped = queue_.pop(seed);
+            parked_.fetch_sub(1, std::memory_order_relaxed);
+            if (!popped)
+                return false; // closed and drained
         }
         if (expiredAt(seed, RuntimeClock::now())) {
             out.expired.push_back(std::move(seed));
@@ -178,9 +148,10 @@ Batcher::collect(CollectedBatch &out)
                 continue; // answered from cache; keep the slot open
             }
             if (!compatible(out.entries.front(), next)) {
-                // The incompatible request seeds the next batch rather
-                // than being solved out of order or dropped.
-                putStash(std::move(next));
+                // The incompatible request closes the window and goes
+                // back under its own admission order: a parked peer
+                // takes it at once, otherwise it seeds the next batch.
+                queue_.requeue(std::move(next));
                 break;
             }
             out.entries.push_back(std::move(next));

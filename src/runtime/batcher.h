@@ -10,8 +10,9 @@
  * compatible requests instead of a single entry. The batcher pops a
  * seed request, then takes every compatible request until the batch is
  * full, the supply ends, or an incompatible request shows up (which is
- * stashed to seed the next batch, never reordered behind later
- * arrivals of its own class).
+ * requeued under its original admission order, so it seeds the next
+ * batch of whichever collector pops it first — an idle peer at once —
+ * and is never reordered behind later arrivals of its own class).
  *
  * The batcher is work-conserving: where the supply ends depends on
  * whether another collector is parked in the blocking seed pop. If one
@@ -38,8 +39,6 @@
  */
 
 #include <atomic>
-#include <deque>
-#include <mutex>
 #include <vector>
 
 #include "runtime/admission.h"
@@ -76,15 +75,11 @@ struct CollectedBatch
  * Thread-safe batch collector over a RequestQueue.
  *
  * Multiple workers call collect() concurrently; each gets its own
- * batch. The only shared state is a FIFO stash holding the incompatible
- * requests that closed collect windows, protected by an internal mutex.
- * Each collect stashes at most one entry, so the stash holds at
- * most one entry per concurrently-collecting worker — but overlapping
- * windows can legitimately stash at the same time, which is why the
- * stash is a queue and not a single slot. Stashed entries seed
- * subsequent batches in stash order, ahead of anything still queued.
- * With maxBatch 1 the collector degenerates to a plain pop with the
- * deadline screen applied.
+ * batch. The only shared state besides the queue is the count of
+ * parked collectors: an incompatible request that closes a window goes
+ * back into the queue (RequestQueue::requeue), so the batcher holds no
+ * entries of its own between collects. With maxBatch 1 the collector
+ * degenerates to a plain pop with the deadline screen applied.
  */
 class Batcher
 {
@@ -109,8 +104,8 @@ class Batcher
 
     /**
      * Block for the next batch.
-     * @return false when the queue is closed and drained and the stash
-     *         is empty — the worker should exit. When true, entries,
+     * @return false when the queue is closed and drained — the worker
+     *         should exit. When true, entries,
      *         expired and/or cacheHits hold at least one request.
      */
     bool collect(CollectedBatch &out);
@@ -127,10 +122,6 @@ class Batcher
     /** True when a and b may share one batched solve. */
     static bool compatible(const QueueEntry &a, const QueueEntry &b);
 
-    /** Move the oldest stashed entry into `out` if one is waiting. */
-    bool takeStash(QueueEntry &out);
-    void putStash(QueueEntry entry);
-
     /** True when the entry should be answered from the exact cache. */
     bool cacheReady(const QueueEntry &entry) const;
 
@@ -140,8 +131,6 @@ class Batcher
     SolveCache *const cache_;
     const AdmissionController *const admission_;
 
-    std::mutex stashMutex_;
-    std::deque<QueueEntry> stash_;
     /** Collectors inside the blocking seed pop (idle workers). */
     std::atomic<std::size_t> parked_{0};
 };

@@ -770,7 +770,7 @@ InferenceServer::workerMain(std::size_t worker_id)
         for (;;) {
             waitWhilePaused();
             if (!batcher_->collect(batch))
-                break; // closed and drained (stash included)
+                break; // closed and drained
             serveBatch(worker_id, batch);
         }
         return;

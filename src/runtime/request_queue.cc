@@ -43,15 +43,42 @@ RequestQueue::tryPush(QueueEntry &entry)
             return false;
         }
         entry.seq = nextSeq_++;
-        heap_.push_back(std::move(entry));
-        std::push_heap(heap_.begin(), heap_.end(),
-                       [this](const QueueEntry &a, const QueueEntry &b) {
-                           return dispatchesAfter(a, b);
-                       });
-        peakSize_ = std::max(peakSize_, heap_.size());
+        pushLocked(std::move(entry));
     }
     notEmpty_.notify_one();
     return true;
+}
+
+void
+RequestQueue::requeue(QueueEntry &&entry)
+{
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        pushLocked(std::move(entry));
+    }
+    notEmpty_.notify_one();
+}
+
+void
+RequestQueue::pushLocked(QueueEntry &&entry)
+{
+    heap_.push_back(std::move(entry));
+    std::push_heap(heap_.begin(), heap_.end(),
+                   [this](const QueueEntry &a, const QueueEntry &b) {
+                       return dispatchesAfter(a, b);
+                   });
+    peakSize_ = std::max(peakSize_, heap_.size());
+}
+
+void
+RequestQueue::popLocked(QueueEntry &out)
+{
+    std::pop_heap(heap_.begin(), heap_.end(),
+                  [this](const QueueEntry &a, const QueueEntry &b) {
+                      return dispatchesAfter(a, b);
+                  });
+    out = std::move(heap_.back());
+    heap_.pop_back();
 }
 
 bool
@@ -61,12 +88,7 @@ RequestQueue::pop(QueueEntry &out)
     notEmpty_.wait(lock, [this] { return closed_ || !heap_.empty(); });
     if (heap_.empty())
         return false; // closed and drained
-    std::pop_heap(heap_.begin(), heap_.end(),
-                  [this](const QueueEntry &a, const QueueEntry &b) {
-                      return dispatchesAfter(a, b);
-                  });
-    out = std::move(heap_.back());
-    heap_.pop_back();
+    popLocked(out);
     return true;
 }
 
@@ -74,16 +96,15 @@ PopStatus
 RequestQueue::popUntil(QueueEntry &out, RuntimeClock::time_point deadline)
 {
     std::unique_lock<std::mutex> lock(mutex_);
-    notEmpty_.wait_until(lock, deadline,
-                         [this] { return closed_ || !heap_.empty(); });
+    // The clock is read before every wait, never left to wait_until: a
+    // futex timeout is padded by the thread's timer slack (50 us by
+    // default on Linux), so a wait on a deadline that has already
+    // passed still sleeps ~50 us. A passed deadline returns at once.
+    while (!closed_ && heap_.empty() && RuntimeClock::now() < deadline)
+        notEmpty_.wait_until(lock, deadline);
     if (heap_.empty())
         return closed_ ? PopStatus::Closed : PopStatus::TimedOut;
-    std::pop_heap(heap_.begin(), heap_.end(),
-                  [this](const QueueEntry &a, const QueueEntry &b) {
-                      return dispatchesAfter(a, b);
-                  });
-    out = std::move(heap_.back());
-    heap_.pop_back();
+    popLocked(out);
     return PopStatus::Ok;
 }
 

@@ -75,8 +75,20 @@ class RequestQueue
      * this to bound how long an open batch waits for company. Returns
      * Ok with an entry, TimedOut when the deadline passed on an open
      * empty queue, or Closed once the queue is closed and drained.
+     * A deadline already passed never waits: an empty open queue
+     * returns TimedOut at once.
      */
     PopStatus popUntil(QueueEntry &out, RuntimeClock::time_point deadline);
+
+    /**
+     * Put back an entry popped from this queue that the consumer could
+     * not use (the batcher's window-closing incompatible arrival). It
+     * keeps its original seq, so dispatch order is as if it had never
+     * left; it was already admitted, so neither capacity nor closure
+     * turns it away (pop still delivers after close). Wakes one
+     * waiting consumer.
+     */
+    void requeue(QueueEntry &&entry);
 
     /**
      * Close the queue: all further pushes fail and blocked consumers
@@ -104,6 +116,9 @@ class RequestQueue
   private:
     /** Heap order: true when a dispatches *after* b. */
     bool dispatchesAfter(const QueueEntry &a, const QueueEntry &b) const;
+    /** Heap insert and remove-first; the caller holds mutex_. */
+    void pushLocked(QueueEntry &&entry);
+    void popLocked(QueueEntry &out);
 
     const std::size_t capacity_;
     const SelectPolicy policy_;

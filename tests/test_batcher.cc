@@ -233,6 +233,58 @@ TEST(RequestQueue, PopUntilTimesOutThenDelivers)
               PopStatus::Closed);
 }
 
+TEST(RequestQueue, PopUntilPastDeadlineReturnsWithoutWaiting)
+{
+    // A deadline that has already passed must not enter a timed wait:
+    // the kernel pads a futex timeout with the thread's timer slack
+    // (50 us by default on Linux), so waiting on a passed deadline
+    // still sleeps ~50 us. 200 such pops on an empty queue must cost
+    // far less than 200 x 50 us = 10 ms.
+    constexpr int kPops = 200;
+    RequestQueue queue(4, SelectPolicy::Fifo);
+    QueueEntry out;
+    const auto start = RuntimeClock::now();
+    for (int i = 0; i < kPops; i++) {
+        const auto deadline =
+            RuntimeClock::now() - std::chrono::microseconds(i % 2 * 5);
+        ASSERT_EQ(queue.popUntil(out, deadline), PopStatus::TimedOut);
+    }
+    const double elapsed_ms =
+        std::chrono::duration<double, std::milli>(RuntimeClock::now() -
+                                                  start)
+            .count();
+    EXPECT_LT(elapsed_ms, 5.0)
+        << "a pop past its deadline slept in a timed wait";
+}
+
+TEST(RequestQueue, RequeueKeepsAdmissionOrderPastCapacityAndClose)
+{
+    // A requeued entry was already admitted: it goes back under its
+    // original seq (ahead of later admissions) even into a full or
+    // closed queue, and pop still delivers it.
+    RequestQueue queue(2, SelectPolicy::Fifo);
+    for (std::uint64_t id = 0; id < 2; id++) {
+        QueueEntry entry;
+        entry.request.id = id;
+        ASSERT_TRUE(queue.tryPush(entry));
+    }
+    QueueEntry first;
+    ASSERT_TRUE(queue.pop(first));
+    QueueEntry late;
+    late.request.id = 2;
+    ASSERT_TRUE(queue.tryPush(late)); // the queue is full again
+    queue.requeue(std::move(first));
+    EXPECT_EQ(queue.size(), 3u);
+    queue.close(/*drain=*/true);
+
+    QueueEntry out;
+    for (std::uint64_t id = 0; id < 3; id++) {
+        ASSERT_TRUE(queue.pop(out));
+        EXPECT_EQ(out.request.id, id);
+    }
+    EXPECT_FALSE(queue.pop(out));
+}
+
 // ---------------------------------------------------------------------
 // Server-level batching
 // ---------------------------------------------------------------------
@@ -692,6 +744,109 @@ TEST(Batcher, ParkedPeerSkipsTheCollectWindow)
     EXPECT_LT(shipped[0].collectWaitMs, 100.0);
     EXPECT_LT(elapsed_ms, 250.0)
         << "seed waited for company while a peer sat idle";
+}
+
+TEST(Batcher, SkippedWindowShipsWithoutATimedWait)
+{
+    // A skipped window closes at the seed pop, so draining what is
+    // queued must not sleep: each batch ships without the ~50 us a
+    // timed wait on a passed deadline costs (see
+    // RequestQueue.PopUntilPastDeadlineReturnsWithoutWaiting). Two
+    // parked collectors, one arrival at a time: whichever takes it has
+    // a parked peer, so every window is skipped.
+    constexpr std::size_t kArrivals = 200;
+    RequestQueue queue(16, SelectPolicy::Fifo);
+    Batcher batcher(queue, /*maxBatch=*/4, /*maxWaitUs=*/500000.0);
+
+    std::mutex mutex;
+    double wait_ms = 0.0;
+    std::size_t skipped = 0;
+    std::atomic<std::size_t> batches{0};
+    std::vector<std::thread> collectors;
+    for (std::size_t c = 0; c < 2; c++) {
+        collectors.emplace_back([&] {
+            CollectedBatch batch;
+            while (batcher.collect(batch)) {
+                {
+                    std::lock_guard<std::mutex> lock(mutex);
+                    wait_ms += batch.collectWaitMs;
+                    skipped += batch.windowSkipped ? 1 : 0;
+                }
+                batches++;
+            }
+        });
+    }
+    for (std::size_t id = 0; id < kArrivals; id++) {
+        while (batcher.parkedCollectors() != 2)
+            std::this_thread::yield();
+        QueueEntry entry = probeEntry(id);
+        EXPECT_TRUE(queue.tryPush(entry));
+        while (batches.load() != id + 1)
+            std::this_thread::yield();
+    }
+    queue.close(/*drain=*/true);
+    for (auto &t : collectors)
+        t.join();
+
+    EXPECT_EQ(skipped, kArrivals);
+    EXPECT_LT(wait_ms, 5.0)
+        << "skipped windows slept in a timed wait";
+}
+
+TEST(Batcher, IncompatibleEntryGoesToTheParkedPeer)
+{
+    // Collector A holds an open window on an inference seed while peer
+    // B sits parked; then a train task arrives, which can share no
+    // batch. If A pops it, A's window closes and A goes off to solve
+    // (held below by a promise): the task must reach the idle B at
+    // once, not wait out A's solve while B stays blocked in its pop.
+    // Which waiter a push wakes is up to the condition variable (if B
+    // wakes for the task itself, it ships it directly), so the round
+    // is repeated.
+    for (int round = 0; round < 5; round++) {
+        RequestQueue queue(16, SelectPolicy::Fifo);
+        Batcher batcher(queue, /*maxBatch=*/4, /*maxWaitUs=*/5e6);
+        QueueEntry seed = probeEntry(0);
+        ASSERT_TRUE(queue.tryPush(seed));
+
+        std::promise<void> release;
+        std::thread a([&] {
+            CollectedBatch batch;
+            EXPECT_TRUE(batcher.collect(batch));
+            release.get_future().wait(); // stand-in for the batched solve
+            while (batcher.collect(batch)) {
+            }
+        });
+        while (queue.size() != 0)
+            std::this_thread::yield();
+
+        std::promise<void> shipped;
+        std::thread b([&] {
+            CollectedBatch batch;
+            while (batcher.collect(batch)) {
+                for (auto &entry : batch.entries)
+                    if (entry.request.train != nullptr)
+                        shipped.set_value();
+            }
+        });
+        while (batcher.parkedCollectors() != 1)
+            std::this_thread::yield();
+
+        TrainTask task;
+        QueueEntry train = probeEntry(1);
+        train.request.train = &task;
+        EXPECT_TRUE(queue.tryPush(train));
+        const bool handed_over =
+            shipped.get_future().wait_for(std::chrono::seconds(2)) ==
+            std::future_status::ready;
+        release.set_value();
+        queue.close(/*drain=*/true);
+        a.join();
+        b.join();
+        ASSERT_TRUE(handed_over)
+            << "round " << round
+            << ": the train task waited for the busy collector";
+    }
 }
 
 TEST(Batcher, LoneCollectorWaitsOutTheWindow)
