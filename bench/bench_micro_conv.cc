@@ -11,6 +11,11 @@
  * directory, merged with entries from the other micro-benches — plus a
  * per-SIMD-backend sweep of the three conv kernels (speedup vs the
  * forced scalar backend, the numbers the CI bench gate checks).
+ *
+ * The served conv f (the 4-channel 10x10 NODE of perfbench's
+ * conv-closed workload) gets its own reference-vs-fast rows — conv
+ * forward, GroupNorm and ReLU at that shape — so its layer costs can be
+ * re-run outside perfbench. They stay out of the per-backend sweep.
  */
 
 #include <cstdio>
@@ -23,7 +28,9 @@
 #include "bench_common.h"
 #include "common/rng.h"
 #include "common/simd.h"
+#include "nn/activation.h"
 #include "nn/conv2d.h"
+#include "nn/norm.h"
 #include "sim/pe_array.h"
 #include "tensor/workspace.h"
 
@@ -211,6 +218,94 @@ emitKernelReport()
                 wgt_ref_ns / wgt_ns);
 }
 
+// The served conv f: 4 state channels plus the time channel into a
+// 4-channel 3x3 conv on a 10x10 map, then GroupNorm(4, 1) and ReLU.
+struct ServedFixture
+{
+    ServedFixture()
+    {
+        Rng rng(2);
+        convIn = Tensor::randn(Shape{5, 10, 10}, rng, 1.0f);
+        weight = Tensor::randn(Shape{4, 5, 3, 3}, rng, 0.5f);
+        bias = Tensor::randn(Shape{4}, rng, 0.5f);
+        act = Tensor::randn(Shape{4, 10, 10}, rng, 1.0f);
+        gamma = Tensor::randn(Shape{4}, rng, 0.5f);
+        beta = Tensor::randn(Shape{4}, rng, 0.5f);
+        for (auto &slot : norm.paramSlots())
+            slot.param->copyFrom(slot.name == "gamma" ? gamma : beta);
+    }
+    Tensor convIn, weight, bias, act, gamma, beta;
+    GroupNorm norm{4, 1};
+    ReLU relu;
+};
+
+constexpr double kServedConvFlops = 2.0 * 5 * 4 * 3 * 3 * 10 * 10;
+
+/** Reference-vs-fast rows for the served conv f's three layers. */
+void
+emitServedLayerReport()
+{
+    ServedFixture f;
+    Tensor out, relu_cache;
+    reference::GroupNormCache norm_cache;
+
+    auto entry = [](const char *name, double ns, double miss,
+                    double ref_ns, double flops) {
+        bench::KernelBenchEntry e;
+        e.name = name;
+        e.nsPerOp = ns;
+        e.gflops = flops > 0.0 ? flops / ns : 0.0;
+        e.allocMissesPerOp = miss;
+        e.speedupVsRef = ref_ns > 0.0 ? ref_ns / ns : 0.0;
+        return e;
+    };
+
+    const auto conv_ref = [&] {
+        benchmark::DoNotOptimize(
+            reference::convForward(f.convIn, f.weight, f.bias));
+    };
+    const auto conv = [&] {
+        convForwardInto(out, f.convIn, f.weight, f.bias);
+        benchmark::DoNotOptimize(out.data());
+    };
+    const auto norm_ref = [&] {
+        benchmark::DoNotOptimize(reference::groupNormForward(
+            f.act, f.gamma, f.beta, 1, 1e-5f, norm_cache));
+    };
+    const auto norm = [&] { benchmark::DoNotOptimize(f.norm.forward(f.act)); };
+    // The layer keeps its input for backward; so does the baseline.
+    const auto relu_ref = [&] {
+        relu_cache = f.act;
+        benchmark::DoNotOptimize(reference::reluForward(f.act));
+    };
+    const auto relu = [&] { benchmark::DoNotOptimize(f.relu.forward(f.act)); };
+
+    const double conv_ref_ns = bench::timeNsPerOp(conv_ref);
+    const double conv_ns = bench::timeNsPerOp(conv);
+    const double norm_ref_ns = bench::timeNsPerOp(norm_ref);
+    const double norm_ns = bench::timeNsPerOp(norm);
+    const double relu_ref_ns = bench::timeNsPerOp(relu_ref);
+    const double relu_ns = bench::timeNsPerOp(relu);
+
+    bench::writeKernelReport({
+        entry("conv_forward_ref_5c4m10x10k3", conv_ref_ns, 0.0, 0.0,
+              kServedConvFlops),
+        entry("conv_forward_5c4m10x10k3", conv_ns,
+              bench::allocMissesPerOp(conv), conv_ref_ns, kServedConvFlops),
+        entry("group_norm_ref_4c10x10", norm_ref_ns, 0.0, 0.0, 0.0),
+        entry("group_norm_4c10x10", norm_ns, bench::allocMissesPerOp(norm),
+              norm_ref_ns, 0.0),
+        entry("relu_ref_4c10x10", relu_ref_ns, 0.0, 0.0, 0.0),
+        entry("relu_4c10x10", relu_ns, bench::allocMissesPerOp(relu),
+              relu_ref_ns, 0.0),
+    });
+    std::printf("served conv f (5c4m10x10k3): conv forward %.0f ns "
+                "(%.2fx), GroupNorm %.0f ns (%.2fx), ReLU %.0f ns (%.2fx) "
+                "vs reference\n",
+                conv_ns, conv_ref_ns / conv_ns, norm_ns,
+                norm_ref_ns / norm_ns, relu_ns, relu_ref_ns / relu_ns);
+}
+
 /**
  * Per-SIMD-backend sweep of the three conv kernels: each compiled and
  * supported backend is forced in turn and timed on the same tile, with
@@ -273,6 +368,7 @@ main(int argc, char **argv)
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
     emitKernelReport();
+    emitServedLayerReport();
     emitBackendSweep();
     return 0;
 }

@@ -7,38 +7,53 @@
 
 namespace enode {
 
+namespace {
+
+/** out = max(x, 0) elementwise; NaN and -0.0 pass through unchanged. */
+void
+reluInto(Tensor &out, const Tensor &x)
+{
+    out.resize(x.shape());
+    const float *src = x.data();
+    float *dst = out.data();
+    for (std::size_t i = 0; i < x.numel(); i++)
+        dst[i] = src[i] < 0.0f ? 0.0f : src[i];
+}
+
+} // namespace
+
 Tensor
 ReLU::forward(const Tensor &x)
 {
     cachedInput_ = x;
-    Tensor out = x;
-    for (std::size_t i = 0; i < out.numel(); i++)
-        if (out.at(i) < 0.0f)
-            out.at(i) = 0.0f;
+    Tensor out;
+    reluInto(out, x);
     return out;
 }
 
 void
 ReLU::forwardBatched(const Tensor &xs, Tensor &out)
 {
-    // Pointwise: one branch-free sweep over the whole stacked buffer is
-    // bitwise identical to the per-sample loops (and skips the backward
-    // cache — the batched path is inference-only).
-    out.resize(xs.shape());
-    const float *src = xs.data();
-    float *dst = out.data();
-    for (std::size_t i = 0; i < xs.numel(); i++)
-        dst[i] = src[i] < 0.0f ? 0.0f : src[i];
+    // Pointwise: one sweep over the whole stacked buffer is bitwise
+    // identical to forward() per sample (and skips the backward cache —
+    // the batched path is inference-only).
+    reluInto(out, xs);
 }
 
 Tensor
 ReLU::backward(const Tensor &grad_out)
 {
     ENODE_ASSERT(!cachedInput_.empty(), "ReLU backward before forward");
-    Tensor grad_in = grad_out;
-    for (std::size_t i = 0; i < grad_in.numel(); i++)
-        if (cachedInput_.at(i) <= 0.0f)
-            grad_in.at(i) = 0.0f;
+    ENODE_ASSERT(grad_out.numel() == cachedInput_.numel(),
+                 "ReLU backward expects ", cachedInput_.shape().str(),
+                 ", got ", grad_out.shape().str());
+    Tensor grad_in;
+    grad_in.resize(grad_out.shape());
+    const float *x = cachedInput_.data();
+    const float *dy = grad_out.data();
+    float *dx = grad_in.data();
+    for (std::size_t i = 0; i < grad_out.numel(); i++)
+        dx[i] = x[i] <= 0.0f ? 0.0f : dy[i];
     return grad_in;
 }
 

@@ -29,6 +29,18 @@ class ReLU : public Layer
     Tensor cachedInput_;
 };
 
+/**
+ * ReLU as first written, a copy patched through bounds-checked
+ * Tensor::at: the bitwise oracle for ReLU and the micro-benchmark
+ * baseline (defined in reference.cc).
+ */
+namespace reference {
+
+Tensor reluForward(const Tensor &x);
+Tensor reluBackward(const Tensor &grad_out, const Tensor &input);
+
+} // namespace reference
+
 /** Hyperbolic tangent. */
 class Tanh : public Layer
 {

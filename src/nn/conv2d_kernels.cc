@@ -46,7 +46,7 @@
  * (PooledScratch: each chunk acquires on the worker that runs it and
  * releases to the same worker), so the kernels allocate nothing from
  * the heap in steady state at any thread count. The original scalar
- * kernels are retained in conv2d_reference.cc as ground truth.
+ * kernels are retained in reference.cc as ground truth.
  */
 
 #include "nn/conv2d.h"

@@ -1,21 +1,27 @@
 /**
  * @file
- * Reference implementations of the three convolution kernels.
+ * Reference implementations of the convolution, GroupNorm and ReLU
+ * kernels.
  *
- * These are the original scalar kernels: the tap range is clamped once
- * per row and the inner loops run over raw row pointers, one pass over
- * the output per (channel, tap). They are retained as the ground truth
- * the blocked/vectorized kernels in conv2d_kernels.cc are
- * equivalence-tested against, and as the baseline the micro-benchmarks
- * report speedups over. The only change from the originals is the
- * std::min guard in the h_hi/w_hi clamps: the unguarded H - dh
- * underflows size_t on maps narrower than the kernel (K > H or K > W),
- * a shape regime the equivalence sweep covers.
+ * These are the original scalar kernels, retained as the ground truth
+ * the fast kernels are tested against (bitwise for GroupNorm and ReLU,
+ * by equivalence for the blocked/vectorized conv in conv2d_kernels.cc)
+ * and as the baseline the micro-benchmarks report speedups over. The
+ * conv kernels clamp the tap range once per row and run their inner
+ * loops over raw row pointers, one pass over the output per (channel,
+ * tap); the only change from the originals is the std::min guard in the
+ * h_hi/w_hi clamps: the unguarded H - dh underflows size_t on maps
+ * narrower than the kernel (K > H or K > W), a shape regime the
+ * equivalence sweep covers. GroupNorm and ReLU are the layers' indexed
+ * loops verbatim, with the layer's members turned into arguments.
  */
 
-#include "nn/conv2d.h"
-
 #include <algorithm>
+#include <cmath>
+
+#include "nn/activation.h"
+#include "nn/conv2d.h"
+#include "nn/norm.h"
 
 #include "common/logging.h"
 
@@ -208,6 +214,128 @@ convBackwardWeights(const Tensor &x, const Tensor &grad_out,
         }
     }
     return grad_w;
+}
+
+Tensor
+groupNormForward(const Tensor &x, const Tensor &gamma, const Tensor &beta,
+                 std::size_t groups, float eps, GroupNormCache &cache)
+{
+    const std::size_t C = x.shape().dim(0);
+    const std::size_t H = x.shape().dim(1);
+    const std::size_t W = x.shape().dim(2);
+    const std::size_t cpg = C / groups; // channels per group
+    const std::size_t group_elems = cpg * H * W;
+
+    Tensor x_hat(x.shape());
+    Tensor out(x.shape());
+    cache.invStd.assign(groups, 0.0f);
+
+    for (std::size_t g = 0; g < groups; g++) {
+        double sum = 0.0, sum_sq = 0.0;
+        for (std::size_t c = g * cpg; c < (g + 1) * cpg; c++) {
+            for (std::size_t h = 0; h < H; h++) {
+                for (std::size_t w = 0; w < W; w++) {
+                    const double v = x.at(c, h, w);
+                    sum += v;
+                    sum_sq += v * v;
+                }
+            }
+        }
+        const double mean = sum / group_elems;
+        const double var =
+            std::max(0.0, sum_sq / group_elems - mean * mean);
+        const float inv_std = static_cast<float>(1.0 / std::sqrt(var + eps));
+        cache.invStd[g] = inv_std;
+
+        for (std::size_t c = g * cpg; c < (g + 1) * cpg; c++) {
+            for (std::size_t h = 0; h < H; h++) {
+                for (std::size_t w = 0; w < W; w++) {
+                    const float xh = (x.at(c, h, w) -
+                                      static_cast<float>(mean)) * inv_std;
+                    x_hat.at(c, h, w) = xh;
+                    out.at(c, h, w) = gamma.at(c) * xh + beta.at(c);
+                }
+            }
+        }
+    }
+    cache.xHat = x_hat;
+    return out;
+}
+
+Tensor
+groupNormBackward(const Tensor &grad_out, const GroupNormCache &cache,
+                  const Tensor &gamma, std::size_t groups,
+                  Tensor &gamma_grad, Tensor &beta_grad)
+{
+    const Tensor &x_hat = cache.xHat;
+    const std::size_t C = gamma.numel();
+    const std::size_t H = x_hat.shape().dim(1);
+    const std::size_t W = x_hat.shape().dim(2);
+    const std::size_t cpg = C / groups;
+    const double n = static_cast<double>(cpg * H * W);
+
+    for (std::size_t c = 0; c < C; c++) {
+        double dg = 0.0, db = 0.0;
+        for (std::size_t h = 0; h < H; h++) {
+            for (std::size_t w = 0; w < W; w++) {
+                dg += grad_out.at(c, h, w) * x_hat.at(c, h, w);
+                db += grad_out.at(c, h, w);
+            }
+        }
+        gamma_grad.at(c) += static_cast<float>(dg);
+        beta_grad.at(c) += static_cast<float>(db);
+    }
+
+    Tensor grad_in(x_hat.shape());
+    for (std::size_t g = 0; g < groups; g++) {
+        double sum_dxhat = 0.0, sum_dxhat_xhat = 0.0;
+        for (std::size_t c = g * cpg; c < (g + 1) * cpg; c++) {
+            for (std::size_t h = 0; h < H; h++) {
+                for (std::size_t w = 0; w < W; w++) {
+                    const double dxh =
+                        static_cast<double>(grad_out.at(c, h, w)) *
+                        gamma.at(c);
+                    sum_dxhat += dxh;
+                    sum_dxhat_xhat += dxh * x_hat.at(c, h, w);
+                }
+            }
+        }
+        const double inv_std = cache.invStd[g];
+        for (std::size_t c = g * cpg; c < (g + 1) * cpg; c++) {
+            for (std::size_t h = 0; h < H; h++) {
+                for (std::size_t w = 0; w < W; w++) {
+                    const double dxh =
+                        static_cast<double>(grad_out.at(c, h, w)) *
+                        gamma.at(c);
+                    grad_in.at(c, h, w) = static_cast<float>(
+                        inv_std / n *
+                        (n * dxh - sum_dxhat -
+                         x_hat.at(c, h, w) * sum_dxhat_xhat));
+                }
+            }
+        }
+    }
+    return grad_in;
+}
+
+Tensor
+reluForward(const Tensor &x)
+{
+    Tensor out = x;
+    for (std::size_t i = 0; i < out.numel(); i++)
+        if (out.at(i) < 0.0f)
+            out.at(i) = 0.0f;
+    return out;
+}
+
+Tensor
+reluBackward(const Tensor &grad_out, const Tensor &input)
+{
+    Tensor grad_in = grad_out;
+    for (std::size_t i = 0; i < grad_in.numel(); i++)
+        if (input.at(i) <= 0.0f)
+            grad_in.at(i) = 0.0f;
+    return grad_in;
 }
 
 } // namespace reference

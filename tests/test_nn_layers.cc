@@ -5,7 +5,9 @@
  */
 
 #include <cmath>
+#include <cstring>
 #include <functional>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -128,6 +130,154 @@ TEST(Conv2d, BackwardDataIsAdjointOfForward)
     for (std::size_t i = 0; i < x.numel(); i++)
         rhs += static_cast<double>(x.at(i)) * cty.at(i);
     EXPECT_NEAR(lhs, rhs, 1e-2 * std::abs(lhs));
+}
+
+// The flat GroupNorm and ReLU kernels are compared bitwise with the
+// indexed loops they replaced (enode::reference, built like norm.cc with
+// -ffp-contract=off), so the sweeps below compare bits, not tolerances.
+
+/** Same shape and the same bytes, so NaN payloads and -0.0 count. */
+::testing::AssertionResult
+bitwiseEqual(const Tensor &a, const Tensor &b)
+{
+    if (!(a.shape() == b.shape()))
+        return ::testing::AssertionFailure()
+               << "shape " << a.shape().str() << " vs " << b.shape().str();
+    for (std::size_t i = 0; i < a.numel(); i++)
+        if (std::memcmp(a.data() + i, b.data() + i, sizeof(float)) != 0)
+            return ::testing::AssertionFailure()
+                   << "element " << i << ": " << a.data()[i] << " vs "
+                   << b.data()[i];
+    return ::testing::AssertionSuccess();
+}
+
+/** Non-trivial affine parameters, so gamma and beta enter the bits. */
+void
+randomizeAffine(GroupNorm &norm, Rng &rng)
+{
+    for (auto &slot : norm.paramSlots()) {
+        const Tensor drawn =
+            Tensor::randn(slot.param->shape(), rng, 0.7f);
+        slot.param->copyFrom(drawn);
+    }
+}
+
+/** (C, H, W, groups) cases the flat kernels are swept over. */
+struct NormCase
+{
+    std::size_t c, h, w, groups;
+};
+constexpr NormCase kNormCases[] = {
+    {4, 10, 10, 1}, {8, 7, 5, 8}, {12, 4, 4, 4}, {6, 1, 1, 3}};
+
+/** ReLU input with NaN, -0.0 and +0.0 planted among the draws. */
+Tensor
+reluInput(const Shape &shape, Rng &rng, float scale)
+{
+    Tensor x = Tensor::randn(shape, rng, scale);
+    x.data()[0] = std::numeric_limits<float>::quiet_NaN();
+    x.data()[1] = -0.0f;
+    x.data()[2] = 0.0f;
+    x.data()[x.numel() - 1] = -std::numeric_limits<float>::quiet_NaN();
+    return x;
+}
+
+TEST(GroupNorm, FlatKernelsMatchIndexedLoopsBitwise)
+{
+    Rng rng(12);
+    for (const NormCase &k : kNormCases) {
+        for (const float scale : {0.5f, 3.0f}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "C=" << k.c << " H=" << k.h << " W=" << k.w
+                         << " G=" << k.groups << " scale=" << scale);
+            GroupNorm norm(k.c, k.groups);
+            randomizeAffine(norm, rng);
+            Tensor &gamma = *norm.paramSlots()[0].param;
+            Tensor &beta = *norm.paramSlots()[1].param;
+            const Shape shape{k.c, k.h, k.w};
+            // Offset the draws so the mean is not ~0.
+            Tensor x = Tensor::randn(shape, rng, scale);
+            for (std::size_t i = 0; i < x.numel(); i++)
+                x.data()[i] += 0.25f * scale;
+            const Tensor dy = Tensor::randn(shape, rng, scale);
+
+            reference::GroupNormCache ref;
+            EXPECT_TRUE(bitwiseEqual(
+                norm.forward(x), reference::groupNormForward(
+                                     x, gamma, beta, k.groups, 1e-5f, ref)));
+
+            // Two backward calls: the parameter gradients accumulate.
+            Tensor gamma_grad(Shape{k.c}), beta_grad(Shape{k.c});
+            norm.zeroGrad();
+            for (int rep = 0; rep < 2; rep++) {
+                const Tensor ref_dx = reference::groupNormBackward(
+                    dy, ref, gamma, k.groups, gamma_grad, beta_grad);
+                EXPECT_TRUE(bitwiseEqual(norm.backward(dy), ref_dx));
+            }
+            EXPECT_TRUE(bitwiseEqual(*norm.paramSlots()[0].grad,
+                                     gamma_grad));
+            EXPECT_TRUE(bitwiseEqual(*norm.paramSlots()[1].grad,
+                                     beta_grad));
+        }
+    }
+}
+
+TEST(GroupNorm, BatchedRowsMatchForwardBitwise)
+{
+    Rng rng(13);
+    for (const NormCase &k : {kNormCases[0], kNormCases[1]}) {
+        GroupNorm norm(k.c, k.groups);
+        randomizeAffine(norm, rng);
+        const Shape sample{k.c, k.h, k.w};
+        for (std::size_t n = 1; n <= 9; n++) {
+            SCOPED_TRACE(::testing::Message()
+                         << "C=" << k.c << " G=" << k.groups << " n=" << n);
+            const Tensor xs =
+                Tensor::randn(sample.prepended(n), rng, 2.0f);
+            Tensor out;
+            norm.forwardBatched(xs, out);
+            ASSERT_EQ(out.shape(), xs.shape());
+            for (std::size_t i = 0; i < n; i++)
+                EXPECT_TRUE(
+                    bitwiseEqual(out.sample(i), norm.forward(xs.sample(i))));
+        }
+    }
+}
+
+TEST(Activations, ReluMatchesIndexedLoopsBitwise)
+{
+    Rng rng(14);
+    for (const NormCase &k : kNormCases) {
+        for (const float scale : {0.5f, 3.0f}) {
+            const Shape shape{k.c, k.h, k.w};
+            const Tensor x = reluInput(shape, rng, scale);
+            const Tensor dy = reluInput(shape, rng, scale);
+            ReLU relu;
+            const Tensor y = relu.forward(x);
+            EXPECT_TRUE(bitwiseEqual(y, reference::reluForward(x)));
+            EXPECT_TRUE(std::isnan(y.data()[0]));
+            EXPECT_TRUE(std::signbit(y.data()[1]));
+            EXPECT_TRUE(bitwiseEqual(relu.backward(dy),
+                                     reference::reluBackward(dy, x)));
+        }
+    }
+}
+
+TEST(Activations, ReluBatchedRowsMatchForwardBitwise)
+{
+    Rng rng(15);
+    const Shape sample{4, 10, 10};
+    ReLU relu;
+    for (std::size_t n = 1; n <= 9; n++) {
+        SCOPED_TRACE(::testing::Message() << "n=" << n);
+        const Tensor xs = reluInput(sample.prepended(n), rng, 1.0f);
+        Tensor out;
+        relu.forwardBatched(xs, out);
+        ASSERT_EQ(out.shape(), xs.shape());
+        for (std::size_t i = 0; i < n; i++)
+            EXPECT_TRUE(
+                bitwiseEqual(out.sample(i), relu.forward(xs.sample(i))));
+    }
 }
 
 TEST(GroupNorm, NormalizesPerGroup)

@@ -247,20 +247,37 @@ TEST(TrainingService, HotSwapUnderLoadLosesNothingAndReconciles)
                                             /*publish_every=*/1));
     service.start([](std::uint64_t i) { return makeExample(i % 16); });
 
+    // Paced load: at least kPerProducer requests each, and on until a
+    // publication has reached a replica (a worker swaps only when it
+    // dispatches an inference request), so a slow build, such as the
+    // thread-sanitizer one, cannot run out of traffic before the first
+    // swap. Past kPerProducer each producer keeps one request in
+    // flight: a standing backlog would keep the lowest-priority
+    // training tasks, and so the publication, off the workers.
+    // `swap_bound` only stops a run that never swaps.
     constexpr std::size_t kProducers = 2;
     constexpr std::size_t kPerProducer = 60;
+    const auto swap_bound =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    const auto keep_going = [&](std::size_t i) {
+        return i < kPerProducer ||
+               (server.registry().swapsApplied() == 0 &&
+                std::chrono::steady_clock::now() < swap_bound);
+    };
     std::vector<std::vector<std::future<InferResponse>>> futures(
         kProducers);
     std::atomic<std::uint64_t> submitted{0};
     std::vector<std::thread> producers;
     for (std::size_t p = 0; p < kProducers; p++) {
         producers.emplace_back([&, p] {
-            for (std::size_t i = 0; i < kPerProducer; i++) {
-                auto sub = server.submit(makeInput(p * kPerProducer + i),
+            for (std::size_t i = 0; keep_going(i); i++) {
+                auto sub = server.submit(makeInput(i * kProducers + p),
                                          /*stream=*/1);
                 if (sub.accepted) {
                     futures[p].push_back(std::move(sub.result));
                     submitted.fetch_add(1);
+                    if (i >= kPerProducer)
+                        futures[p].back().wait();
                 }
                 std::this_thread::sleep_for(
                     std::chrono::microseconds(200));

@@ -19,6 +19,7 @@
 
 #include "common/rng.h"
 #include "common/trace_span.h"
+#include "core/node_model.h"
 #include "ode/ivp.h"
 #include "ode/ode_function.h"
 #include "ode/step_control.h"
@@ -285,6 +286,41 @@ TEST(Workspace, SolveIvpAllocatesNothingAfterWarmup)
     EXPECT_EQ(recorded.checkpoints.size(), recorded.stats.evalPoints);
     EXPECT_EQ(recorded.trialsPerPoint.size(), recorded.stats.evalPoints);
     EXPECT_TRUE(Tensor::allClose(recorded.yFinal, expected, 0.0, 0.0));
+}
+
+TEST(Workspace, ConvNodeForwardAllocatesNothingAfterWarmup)
+{
+    // The conv NODE's f (ConcatTime, Conv2d, GroupNorm, ReLU) on the
+    // served 4-channel 10x10 map: after warm-up, every layer's outputs
+    // and backward caches come from the pool.
+    Rng rng(8);
+    auto model = NodeModel::makeConv(/*num_layers=*/2, /*channels=*/4,
+                                     /*f_depth=*/2, rng);
+    const Tensor x = Tensor::randn(Shape{4, 10, 10}, rng, 0.5f);
+    FixedFactorController ctrl;
+    IvpOptions opts;
+    opts.tolerance = 1e-4;
+    opts.initialDt = 0.05;
+    opts.recordCheckpoints = false; // inference-style solve
+
+    // Same warm-up discipline as the solveIvp test above: keep a value
+    // copy of the answer, then warm once more with it live.
+    Tensor expected;
+    {
+        auto warm = model->forward(x, ButcherTableau::rk23(), ctrl, opts);
+        ASSERT_EQ(warm.status, SolveStatus::Ok);
+        ASSERT_GT(warm.totalStats.fEvals, 0u);
+        expected.copyFrom(warm.output);
+    }
+    model->forward(x, ButcherTableau::rk23(), ctrl, opts);
+
+    auto &pool = Workspace::local();
+    pool.resetStats();
+    auto res = model->forward(x, ButcherTableau::rk23(), ctrl, opts);
+    EXPECT_EQ(pool.stats().misses, 0u)
+        << "conv NODE forward hit the heap after warm-up";
+    EXPECT_EQ(res.status, SolveStatus::Ok);
+    EXPECT_TRUE(Tensor::allClose(res.output, expected, 0.0, 0.0));
 }
 
 TEST(Workspace, DisarmedTraceProbesAllocateNothing)
